@@ -238,8 +238,9 @@ fn json_entry(m: &Measurement) -> Json {
 /// The defense-comparison grid the sharing-aware executor is measured on:
 /// every defense (baseline included) × TRH × a spread of workload
 /// behaviours, at quickstart scale. All the mitigation axes collapse into
-/// branches of one trunk per workload, which is exactly the shape of the
-/// paper's Figures 12/14/15 sweeps.
+/// branches of one trunk per generated trace, which is exactly the shape
+/// of the paper's Figures 12/14/15 sweeps (the full grid's gcc/hmmer and
+/// povray/gamess/namd each share a profile, and so a trunk).
 fn defense_comparison_grid(smoke: bool) -> Experiment {
     let patch = ConfigPatch {
         cores: Some(2),

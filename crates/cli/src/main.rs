@@ -115,7 +115,8 @@ COMMANDS:
                 manifests (<stem>.shard<k>.json, self-contained; run each
                 with `srs-cli run`). Shared-prefix trunk groups are never
                 split across shards, so sharding never changes any cell's
-                bits.
+                bits; a grid yields at most one shard per execution unit.
+                Units are balanced by the configurations they simulate.
     merge       Validate shard result files (schema, no gaps, no duplicate
                 cell indices) and merge them into one submission-ordered
                 file, byte-identical to an uninterrupted unsharded run.

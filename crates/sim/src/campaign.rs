@@ -25,6 +25,7 @@
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use crate::config::SystemConfig;
 use crate::json::{obj, Json, ToJson};
 use crate::runner::{FaultInjection, RetryPolicy};
 use crate::scenario::{Experiment, Scenario, ScenarioResult, UnitStats};
@@ -130,15 +131,33 @@ pub trait CampaignSink {
 }
 
 /// The deterministic execution units of an experiment's grid: each unit is
-/// a shared-prefix trunk group or a singleton solo cell, disjoint, covering
-/// the grid, ordered by first cell index. Units are the atoms of
-/// [`plan_shards`] — a unit never spans two shards.
+/// a shared-prefix trunk group (benign cells with equal generated trace and
+/// equal mitigation-neutral configuration, whatever their workload names)
+/// or a singleton solo cell, disjoint, covering the grid, ordered by first
+/// cell index. Units are the atoms of [`plan_shards`] — a unit never spans
+/// two shards.
 #[must_use]
 pub fn execution_units(experiment: &Experiment) -> Vec<Vec<usize>> {
+    plan(experiment).1
+}
+
+/// Every cell's configuration plus the unit plan over them.
+fn plan(experiment: &Experiment) -> (Vec<SystemConfig>, Vec<Vec<usize>>) {
     let scenarios = experiment.scenarios();
-    let configs: Vec<crate::config::SystemConfig> =
-        scenarios.iter().map(|s| experiment.config_for(s)).collect();
-    experiment.plan_units(&scenarios, &configs)
+    let configs: Vec<SystemConfig> = scenarios.iter().map(|s| experiment.config_for(s)).collect();
+    let units = experiment.plan_units(&scenarios, &configs);
+    (configs, units)
+}
+
+/// A unit's simulated work: its distinct configurations. A shared-prefix
+/// group simulates each distinct configuration once, however many
+/// same-trace workloads it covers; in any other unit every cell has its
+/// own configuration, so this is the cell count.
+fn unit_weight(unit: &[usize], configs: &[SystemConfig]) -> usize {
+    unit.iter()
+        .enumerate()
+        .filter(|&(k, &i)| !unit[..k].iter().any(|&j| configs[j] == configs[i]))
+        .count()
 }
 
 /// A restartable, failure-isolated run over an experiment's grid (or a
@@ -463,18 +482,22 @@ impl ShardManifest {
 ///
 /// The split is along [`execution_units`] — a shared-prefix trunk group
 /// never spans two shards, so each shard's cells remain bit-identical to
-/// the same cells of an unsharded run. Units are assigned largest-first to
-/// the least-loaded shard (ties broken by lowest shard index), which is
-/// fully deterministic: planning the same spec twice yields identical
-/// manifests. Fewer units than `shards` yields fewer (non-empty) shards.
+/// the same cells of an unsharded run. Units are weighed by their
+/// simulated work — their distinct configurations, which is the cell
+/// count except for groups that merge same-trace workloads — and assigned
+/// heaviest-first to the least-loaded shard (ties broken by lowest shard
+/// index), which is fully deterministic: planning the same spec twice
+/// yields identical manifests. A shard holds at least one whole unit, so
+/// fewer units than `shards` yields fewer (non-empty) shards.
 pub fn plan_shards(spec: &ExperimentSpec, shards: usize) -> Result<Vec<ShardManifest>, SpecError> {
     let experiment = spec.to_experiment()?;
-    let units = execution_units(&experiment);
+    let (configs, units) = plan(&experiment);
     let total_cells = experiment.job_count();
     let count = shards.max(1).min(units.len().max(1));
-    // Largest unit first (ties by first cell index, which is unique).
+    let weight: Vec<usize> = units.iter().map(|unit| unit_weight(unit, &configs)).collect();
+    // Heaviest unit first (ties by first cell index, which is unique).
     let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&u| (std::cmp::Reverse(units[u].len()), units[u][0]));
+    order.sort_by_key(|&u| (std::cmp::Reverse(weight[u]), units[u][0]));
     let mut bins: Vec<Vec<usize>> = vec![Vec::new(); count];
     let mut load = vec![0usize; count];
     for u in order {
@@ -483,7 +506,7 @@ pub fn plan_shards(spec: &ExperimentSpec, shards: usize) -> Result<Vec<ShardMani
         #[allow(clippy::expect_used)]
         let bin = (0..count).min_by_key(|&b| (load[b], b)).expect("count >= 1");
         bins[bin].extend(units[u].iter().copied());
-        load[bin] += units[u].len();
+        load[bin] += weight[u];
     }
     Ok(bins
         .into_iter()
@@ -1185,5 +1208,49 @@ mod tests {
         let many = plan_shards(&spec, 64).unwrap();
         assert_eq!(many.len(), units.len());
         assert!(many.iter().all(|s| !s.cells.is_empty()));
+    }
+
+    fn shard_cells(spec: &ExperimentSpec, shards: usize) -> Vec<Vec<usize>> {
+        plan_shards(spec, shards).unwrap().into_iter().map(|s| s.cells).collect()
+    }
+
+    /// The CI campaign smoke's four workloads have four different
+    /// profiles, so no unit merges workloads: every unit weighs its cell
+    /// count, and the plans are the cell-count-balanced ones below.
+    #[test]
+    fn shard_plans_without_merged_groups_are_unchanged() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/paper_campaign_smoke.json");
+        let spec = ExperimentSpec::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let every_fourth = |first: usize| vec![first, first + 4, first + 8];
+        let per_unit: Vec<Vec<usize>> = (0..4).map(every_fourth).collect();
+        assert_eq!(shard_cells(&spec, 1), vec![(0..12).collect::<Vec<_>>()]);
+        assert_eq!(shard_cells(&spec, 2), vec![vec![0, 2, 4, 6, 8, 10], vec![1, 3, 5, 7, 9, 11]]);
+        assert_eq!(
+            shard_cells(&spec, 3),
+            vec![vec![0, 3, 4, 7, 8, 11], vec![1, 5, 9], vec![2, 6, 10]]
+        );
+        for shards in [4, 5, 8] {
+            assert_eq!(shard_cells(&spec, shards), per_unit, "{shards} shards");
+        }
+    }
+
+    /// gcc and hmmer generate one trace, so their four cells form one unit
+    /// that simulates two configurations: it weighs 2, like each
+    /// two-cell unit beside it, not 4.
+    #[test]
+    fn merged_groups_weigh_their_distinct_configurations() {
+        let spec = ExperimentSpec::parse(
+            r#"{
+                "name": "merged_weights",
+                "patch": {"cores": 1, "target_instructions": 2000,
+                          "trace_records_per_core": 1000, "max_sim_ns": 2000000},
+                "defenses": ["srs", "scale-srs"],
+                "workloads": ["gcc", "hmmer", "gups", "mcf"]
+            }"#,
+        )
+        .unwrap();
+        let units = execution_units(&spec.to_experiment().unwrap());
+        assert_eq!(units, vec![vec![0, 1, 4, 5], vec![2, 6], vec![3, 7]]);
+        assert_eq!(shard_cells(&spec, 2), vec![vec![0, 1, 3, 4, 5, 7], vec![2, 6]]);
     }
 }

@@ -41,7 +41,7 @@ use fxhash::FxHashMap;
 use srs_attack::AttackSpec;
 use srs_core::DefenseKind;
 use srs_trackers::TrackerKind;
-use srs_workloads::{all_workloads, NamedWorkload};
+use srs_workloads::{all_workloads, NamedWorkload, TraceKey};
 
 use crate::campaign::CellFailure;
 use crate::config::SystemConfig;
@@ -471,11 +471,12 @@ impl Experiment {
     ///
     /// * **Prefix sharing** (default, see [`Experiment::with_share_prefixes`]):
     ///   benign cells that differ only in their mitigation axes (defense,
-    ///   threshold, tracker, swap rate) form a group that executes the
-    ///   common simulation prefix once on a shared trunk and forks each
-    ///   cell at its first mitigation feedback; the trunk doubles as the
-    ///   group's normalization baseline. Results are bit-identical to
-    ///   from-scratch runs (test-enforced).
+    ///   threshold, tracker, swap rate) and run the same generated trace
+    ///   form a group that executes the common simulation prefix once on a
+    ///   shared trunk and forks each distinct configuration at its first
+    ///   mitigation feedback; the trunk doubles as the group's
+    ///   normalization baseline. Results are bit-identical to from-scratch
+    ///   runs (test-enforced).
     /// * **Baseline sharing**: cells outside any group (attacked cells,
     ///   singleton groups, or everything when sharing is disabled) still
     ///   deduplicate their unprotected baselines — each distinct baseline
@@ -487,18 +488,22 @@ impl Experiment {
 
     /// Partition the grid into its deterministic **execution units**: each
     /// unit is either a shared-prefix trunk group (≥ 2 benign cells with
-    /// equal workload and equal mitigation-neutralized configuration, see
-    /// [`crate::share`]) or a singleton solo cell. Units are disjoint,
-    /// cover the whole grid, and are ordered by their first cell index, so
-    /// two plans of the same experiment are identical.
+    /// equal generated trace and equal mitigation-neutralized
+    /// configuration, see [`crate::share`]) or a singleton solo cell.
+    /// Units are disjoint, cover the whole grid, and are ordered by their
+    /// first cell index, so two plans of the same experiment are identical.
     ///
     /// Units are the atoms of work distribution: the campaign shard planner
     /// ([`crate::campaign::plan_shards`]) never splits a unit across
     /// shards, so sharding cannot break snapshot sharing.
     ///
-    /// Keying by the *actual* neutralized configuration means a patch or
-    /// legacy config function that varies non-mitigation fields per defense
-    /// keeps those cells solo.
+    /// The trace is compared by [`NamedWorkload::trace_key`], not by name:
+    /// differently named workloads that generate identical records join
+    /// one group, and each distinct (trace, configuration) in it simulates
+    /// once. Keying by the *actual* neutralized configuration means a patch
+    /// or legacy config function that varies non-mitigation fields per
+    /// defense keeps those cells solo. Attacked and telemetry-armed cells
+    /// always stay solo.
     pub(crate) fn plan_units(
         &self,
         scenarios: &[Scenario],
@@ -508,7 +513,7 @@ impl Experiment {
         let mut group_of: Vec<Option<usize>> = vec![None; total];
         let mut groups: Vec<Vec<usize>> = Vec::new();
         if self.share_prefixes {
-            let mut keys: Vec<(&str, SystemConfig)> = Vec::new();
+            let mut keys: Vec<(TraceKey, SystemConfig)> = Vec::new();
             for (i, scenario) in scenarios.iter().enumerate() {
                 if scenario.attack.is_some() {
                     // The closed-loop attacker adapts to the defense's swap
@@ -516,12 +521,18 @@ impl Experiment {
                     // shared prefix across the mitigation axes.
                     continue;
                 }
+                if configs[i].telemetry.enabled {
+                    // The recorder samples the tracker it is attached to,
+                    // and a trunk carries an inert one: a branch that never
+                    // forks would inherit the trunk's telemetry, not its
+                    // own.
+                    continue;
+                }
+                let trace = scenario.workload.trace_key();
                 let key = crate::share::neutral_key(&configs[i]);
-                let g = keys
-                    .iter()
-                    .position(|(w, k)| *w == scenario.workload.name && *k == key)
-                    .unwrap_or_else(|| {
-                        keys.push((scenario.workload.name, key));
+                let g =
+                    keys.iter().position(|(t, k)| *t == trace && *k == key).unwrap_or_else(|| {
+                        keys.push((trace, key));
                         groups.push(Vec::new());
                         groups.len() - 1
                     });
@@ -630,7 +641,6 @@ impl Experiment {
             },
             Group {
                 cells: Vec<crate::share::SharedCell>,
-                workload: NamedWorkload,
             },
         }
         let mut jobs: Vec<Job> = Vec::new();
@@ -655,7 +665,7 @@ impl Experiment {
                         config: configs[i].clone(),
                     })
                     .collect();
-                jobs.push(Job::Group { workload: scenarios[unit[0]].workload.clone(), cells });
+                jobs.push(Job::Group { cells });
             }
         }
         // Cell lists per job, for start notifications.
@@ -713,9 +723,7 @@ impl Experiment {
                         let result = normalize_against(defended, baseline_ipc, config.t_rh);
                         vec![(index, ScenarioResult { scenario: scenario.clone(), result })]
                     }
-                    Job::Group { cells, workload } => {
-                        crate::share::run_shared_group(&cells, &workload)
-                    }
+                    Job::Group { cells } => crate::share::run_shared_group(&cells),
                 }
             };
             match isolate {

@@ -8,9 +8,16 @@
 //! the same workload: the tracker is a pure observer, the defense's row
 //! indirection is still the identity, and its timed lazy work has nothing
 //! to do. The executor exploits that equivalence as a *prefix tree*: one
-//! **trunk** run per (workload, cores, seed, geometry) group executes the
-//! shared prefix, and each branch cell forks off at the exact tick its
-//! own mitigation first acts.
+//! **trunk** run per (generated trace, cores, seed, geometry) group
+//! executes the shared prefix, and each branch forks off at the exact tick
+//! its own mitigation first acts.
+//!
+//! Groups are keyed on the generated trace
+//! ([`srs_workloads::NamedWorkload::trace_key`]), not the workload name:
+//! workloads of one synthetic profile generate identical records, so their
+//! cells join one group, equal branch configurations are interned, and
+//! each distinct (trace, configuration) simulates once. Every cell's
+//! result is then labelled with its own workload name.
 //!
 //! Execution is two passes over the trunk:
 //!
@@ -36,11 +43,13 @@
 //! Cells carrying an attack scenario never share: the closed-loop
 //! attacker's behaviour depends on the defense's swap threshold from the
 //! first issued read, so there is no common prefix across the mitigation
-//! axes to begin with.
+//! axes to begin with. Telemetry-armed cells never share either: before a
+//! branch forks, the recorder would sample the trunk's inert tracker
+//! (occupancy 0, no saturation events), and a branch that never forks
+//! would report that for its whole run.
 
 use srs_core::{build_defense, DefenseKind};
 use srs_trackers::TrackerKind;
-use srs_workloads::NamedWorkload;
 
 use crate::config::SystemConfig;
 use crate::metrics::SimResult;
@@ -60,9 +69,9 @@ pub(crate) struct SharedCell {
 }
 
 /// The group key: a cell's configuration with every mitigation axis
-/// neutralized. Two benign cells whose neutral keys (and workloads) are
-/// equal differ *only* in defense, threshold, tracker or swap rate — the
-/// axes the prefix tree branches on — and may share a trunk.
+/// neutralized. Two benign cells whose neutral keys (and generated traces)
+/// are equal differ *only* in defense, threshold, tracker or swap rate —
+/// the axes the prefix tree branches on — and may share a trunk.
 pub(crate) fn neutral_key(config: &SystemConfig) -> SystemConfig {
     let mut key = config.clone();
     key.defense = DefenseKind::Baseline;
@@ -117,19 +126,18 @@ fn build_trunk(
 }
 
 /// Execute one shared-prefix group and return every member cell's result,
-/// keyed by its grid submission index.
+/// keyed by its grid submission index. The members share one generated
+/// trace (the planner groups them by trace key), so the first member's
+/// workload generates it.
 ///
 /// # Panics
 ///
 /// Panics if the deterministic replay of pass 2 fails to revisit a
 /// divergence tick recorded by pass 1 — which would mean the trunk is not
 /// a faithful prefix of some branch, a protocol violation.
-pub(crate) fn run_shared_group(
-    cells: &[SharedCell],
-    workload: &NamedWorkload,
-) -> Vec<(usize, ScenarioResult)> {
+pub(crate) fn run_shared_group(cells: &[SharedCell]) -> Vec<(usize, ScenarioResult)> {
     let cfg0 = &cells[0].config;
-    let trace = workload.spec().generate(cfg0.trace_records_per_core, cfg0.seed);
+    let trace = cells[0].scenario.workload.spec().generate(cfg0.trace_records_per_core, cfg0.seed);
 
     // The branch set: each cell's own configuration plus the baseline
     // configuration it normalizes against, interned so equal
@@ -200,7 +208,8 @@ pub(crate) fn run_shared_group(
     }
 
     // Branches that never diverged are the trunk run under a different
-    // label: same trajectory, zero swaps, their own defense name and TRH.
+    // label: same trajectory, zero swaps, their own defense name and TRH
+    // (and, below, each cell's own workload name).
     for (b, config) in branch_configs.iter().enumerate() {
         if branch_results[b].is_none() {
             let mut result = trunk_result.clone();
@@ -217,8 +226,10 @@ pub(crate) fn run_shared_group(
             // Invariant: the loop above fills every never-diverged slot, so
             // by here each branch index resolved to a result.
             #[allow(clippy::expect_used)]
-            let defended =
+            let mut defended =
                 branch_results[cell_branch[c]].clone().expect("every branch has a result");
+            // A branch may serve cells of several same-trace workloads.
+            defended.workload = cell.scenario.workload.name.to_string();
             #[allow(clippy::expect_used)]
             let baseline_ipc = branch_results[cell_baseline[c]]
                 .as_ref()

@@ -27,6 +27,6 @@ pub mod suite;
 pub mod synth;
 pub mod trace;
 
-pub use suite::{all_workloads, hot_row_workloads, workloads_in, NamedWorkload, Suite};
+pub use suite::{all_workloads, hot_row_workloads, workloads_in, NamedWorkload, Suite, TraceKey};
 pub use synth::{hammer_trace, AccessPattern, HammerTrace, WorkloadSpec};
 pub use trace::{MemOp, Trace, TraceRecord};

@@ -82,6 +82,15 @@ enum Profile {
     Random,
 }
 
+/// Identity of the trace a [`NamedWorkload`] generates: two workloads with
+/// equal keys produce identical records from
+/// `spec().generate(records, seed)` for every `(records, seed)`, and
+/// workloads with different keys do not. Today the key is the synthetic
+/// profile, because the generator reads only the profile's parameters and
+/// the seed — never the workload name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceKey(Profile);
+
 /// A named workload belonging to a suite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NamedWorkload {
@@ -93,6 +102,14 @@ pub struct NamedWorkload {
 }
 
 impl NamedWorkload {
+    /// The identity of this workload's generated trace (see [`TraceKey`]).
+    /// Cells whose workloads share a key simulate the same records, so
+    /// the grid executor may run them on one shared trunk.
+    #[must_use]
+    pub fn trace_key(&self) -> TraceKey {
+        TraceKey(self.profile)
+    }
+
     /// Build the synthetic generator specification for this workload.
     #[must_use]
     pub fn spec(&self) -> WorkloadSpec {
@@ -301,6 +318,37 @@ mod tests {
             assert_eq!(trace.len(), 100);
             assert_eq!(trace.name, w.name);
         }
+    }
+
+    /// The grid executor merges cells whose workloads share a trace key
+    /// onto one simulation, so the key must track the generator exactly:
+    /// if a trace ever depended on something the key leaves out (the
+    /// workload name, say), this fails before the planner can merge
+    /// different traces.
+    #[test]
+    fn trace_key_is_equal_exactly_when_generated_records_are() {
+        let all = all_workloads();
+        for seed in [1, 20_230_225, u64::MAX] {
+            let traces: Vec<_> = all.iter().map(|w| w.spec().generate(600, seed)).collect();
+            for (a, ta) in all.iter().zip(&traces) {
+                for (b, tb) in all.iter().zip(&traces) {
+                    assert_eq!(
+                        a.trace_key() == b.trace_key(),
+                        ta.records == tb.records,
+                        "{} and {} at seed {seed}: trace key disagrees with the records",
+                        a.name,
+                        b.name
+                    );
+                }
+            }
+        }
+        let mut keys: Vec<TraceKey> = Vec::new();
+        for w in &all {
+            if !keys.contains(&w.trace_key()) {
+                keys.push(w.trace_key());
+            }
+        }
+        assert_eq!(keys.len(), 5, "the registry maps its 78 workloads onto 5 profiles");
     }
 
     #[test]

@@ -10,7 +10,10 @@ use scale_srs::attack::engine::{AttackPattern, AttackSpec};
 use scale_srs::attack::search::shipped_candidates;
 use scale_srs::core::DefenseKind;
 use scale_srs::sim::spec::{ConfigPatch, ExperimentSpec};
-use scale_srs::sim::{score_solo, warm_system, Experiment, System, SystemConfig};
+use scale_srs::sim::{
+    execution_units, score_solo, warm_system, Experiment, Fanout, MemoryCollector, ScenarioResult,
+    System, SystemConfig, TelemetryConfig, TelemetrySidecarSink,
+};
 use scale_srs::trackers::TrackerKind;
 use scale_srs::workloads::{all_workloads, AccessPattern, NamedWorkload, Trace, WorkloadSpec};
 
@@ -152,6 +155,110 @@ fn shared_grid_is_bit_identical_to_unshared() {
             s.scenario.defense, s.scenario.workload.name, s.scenario.t_rh, s.scenario.tracker
         );
     }
+}
+
+/// gcc and hmmer share a synthetic profile, so they generate identical
+/// traces and the planner merges their cells into one shared-prefix unit,
+/// where each distinct configuration simulates once for both. The merged
+/// grid — both trackers, a baseline cell, gups beside it, at a threshold
+/// low enough that the defenses swap — must still be cell-for-cell
+/// identical to simulating every cell from scratch, and each cell must
+/// carry its own workload name.
+#[test]
+fn same_trace_workloads_share_one_unit_and_match_unshared() {
+    let workloads: Vec<NamedWorkload> = all_workloads()
+        .into_iter()
+        .filter(|w| ["gups", "gcc", "hmmer"].contains(&w.name))
+        .collect();
+    let experiment = Experiment::new()
+        .with_defenses(vec![
+            DefenseKind::Baseline,
+            DefenseKind::Rrs { immediate_unswap: true },
+            DefenseKind::Srs,
+            DefenseKind::ScaleSrs,
+        ])
+        .with_trackers(vec![TrackerKind::MisraGries, TrackerKind::Hydra])
+        .with_thresholds(vec![128])
+        .with_workloads(workloads)
+        .with_patch(tiny())
+        .with_threads(4);
+
+    let units = execution_units(&experiment);
+    let scenarios = experiment.scenarios();
+    let unit_of = |name: &str| -> Vec<usize> {
+        let homes: Vec<usize> = (0..units.len())
+            .filter(|&u| units[u].iter().any(|&i| scenarios[i].workload.name == name))
+            .collect();
+        assert_eq!(homes.len(), 1, "{name}'s cells are spread over units {homes:?}");
+        units[homes[0]].clone()
+    };
+    let merged = unit_of("gcc");
+    assert_eq!(merged, unit_of("hmmer"), "gcc and hmmer must share one unit");
+    assert_eq!(merged.len(), 16);
+    assert_eq!(unit_of("gups").len(), 8);
+
+    let shared = experiment.clone().run();
+    let unshared = experiment.with_share_prefixes(false).run();
+    assert_eq!(shared.len(), 24);
+    for (s, u) in shared.iter().zip(&unshared) {
+        let name = s.scenario.workload.name;
+        assert_eq!(s.result.workload, name, "cell {} result label", s.scenario.index);
+        assert_eq!(s.result.detail.workload, name, "cell {} detail label", s.scenario.index);
+        assert_eq!(
+            s, u,
+            "{} on {name} tracker={} diverged between shared and unshared",
+            s.scenario.defense, s.scenario.tracker
+        );
+    }
+    // The merged unit exercises both branch kinds: cells whose mitigation
+    // issued DRAM traffic forked; the rest are trunk relabels.
+    let hmmer = shared.iter().filter(|r| r.scenario.workload.name == "hmmer");
+    let (relabelled, forked): (Vec<_>, Vec<_>) =
+        hmmer.partition(|r| r.result.detail.controller.maintenance_ops.is_empty());
+    assert!(!forked.is_empty() && !relabelled.is_empty());
+}
+
+/// Telemetry-armed cells never join a shared-prefix group: a trunk
+/// carries an inert tracker, so a branch that never forks would inherit
+/// the trunk's tracker-occupancy samples and saturation record instead of
+/// its own. The armed sidecar must be byte-identical with sharing on and
+/// off on a grid whose Misra-Gries cells include one that never forks.
+#[test]
+fn armed_telemetry_sidecar_is_identical_shared_and_unshared() {
+    let workloads: Vec<NamedWorkload> =
+        all_workloads().into_iter().filter(|w| w.name == "gups" || w.name == "povray").collect();
+    let experiment = Experiment::new()
+        .with_defenses(vec![DefenseKind::Baseline, DefenseKind::Srs])
+        .with_trackers(vec![TrackerKind::MisraGries])
+        .with_thresholds(vec![1200])
+        .with_workloads(workloads)
+        .with_patch(tiny())
+        .with_telemetry(TelemetryConfig { sample_interval_ns: 500, ..TelemetryConfig::armed() })
+        .with_threads(2);
+    let sidecar = |experiment: Experiment| -> (String, Vec<ScenarioResult>) {
+        let mut telemetry = TelemetrySidecarSink::new(Vec::new());
+        let mut results = MemoryCollector::new();
+        experiment.run_with_sink(&mut Fanout::new(vec![&mut telemetry, &mut results]));
+        let bytes = telemetry.finish().expect("in-memory sidecar");
+        (String::from_utf8(bytes).expect("sidecar is UTF-8"), results.into_results())
+    };
+    let (shared, _) = sidecar(experiment.clone());
+    let (unshared, results) = sidecar(experiment.with_share_prefixes(false));
+    assert_eq!(shared.lines().count(), 4, "one sidecar record per cell");
+
+    // SRS on povray never acts, so a trunk would have carried it to the
+    // end; its own tracker is occupied, the trunk's never is.
+    let quiet = results
+        .iter()
+        .find(|r| r.scenario.workload.name == "povray" && r.scenario.defense == DefenseKind::Srs)
+        .expect("the grid holds SRS on povray");
+    assert_eq!(quiet.result.detail.swaps, 0);
+    assert_eq!(quiet.result.detail.controller.maintenance_activations, 0);
+    let telemetry = quiet.result.detail.telemetry.as_ref().expect("armed cell carries telemetry");
+    let occupancy = telemetry.series("tracker_occupancy").expect("occupancy is sampled");
+    assert!(occupancy.samples.iter().any(|&(_, value)| value > 0));
+
+    assert_eq!(shared, unshared, "the armed sidecar depends on prefix sharing");
 }
 
 /// The attack search scores a whole generation by forking one warmed
