@@ -33,7 +33,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use srs_sim::campaign::{
-    merge_results, plan_shards, Campaign, CampaignSink, CellFailure, CheckpointSink, ShardManifest,
+    merge_results, plan_shards, read_results, Campaign, CampaignError, CellFailure, CheckpointSink,
+    ShardManifest,
 };
 use srs_sim::json::{obj, Json, ToJson};
 use srs_sim::sink::{validate_result_record, ProgressSink, ResultSink};
@@ -83,12 +84,14 @@ COMMANDS:
                 way). --telemetry arms the simulated-time recorder and
                 writes a per-cell sidecar stream to <out stem>.telemetry.jsonl;
                 the results JSONL stays byte-identical to a disarmed run
-                (CI-enforced). --attribution (implies --no-share) re-runs
-                with per-subsystem stopwatches armed, prints the wall-time
-                share table, and appends it as a JSONL footer record
-                {\"attribution\": ...} to the output stream. Exit code 3
-                means the campaign completed degraded: some cells failed
-                and are listed in the manifest.
+                (CI-enforced). --telemetry cannot be combined with --resume
+                (a usage error): the sidecar records of cells committed
+                before the interruption cannot be recovered. --attribution
+                (implies --no-share) re-runs with per-subsystem stopwatches
+                armed, prints the wall-time share table, and appends it as
+                a JSONL footer record {\"attribution\": ...} to the output
+                stream. Exit code 3 means the campaign completed degraded:
+                some cells failed and are listed in the manifest.
     trace       Run one grid cell (default --cell 0) of a spec with
                 telemetry armed and export the event trace as Chrome/
                 Perfetto trace-event JSON (load it at ui.perfetto.dev or
@@ -183,6 +186,12 @@ fn fail(message: impl Into<String>) -> CliError {
     CliError::Failed(message.into())
 }
 
+impl From<CampaignError> for CliError {
+    fn from(error: CampaignError) -> Self {
+        fail(error.to_string())
+    }
+}
+
 fn read_file(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))
 }
@@ -204,7 +213,7 @@ fn load_run_input(path: &str) -> Result<RunInput, CliError> {
     let text = read_file(path)?;
     let json = Json::parse(&text).map_err(|e| fail(format!("{path}: {e}")))?;
     if ShardManifest::is_shard_json(&json) {
-        Ok(RunInput::Shard(ShardManifest::from_json(path, &json).map_err(|e| fail(e.to_string()))?))
+        Ok(RunInput::Shard(ShardManifest::from_json(path, &json)?))
     } else {
         Ok(RunInput::Spec(
             ExperimentSpec::from_json(&json).map_err(|e| fail(format!("{path}: {e}")))?,
@@ -277,6 +286,15 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         }
     }
     let input_path = input_path.ok_or_else(|| CliError::Usage("run needs a spec file".into()))?;
+    if telemetry && resume {
+        // The sidecar is written beside the results as cells complete; a
+        // resumed run would restart it without the cells already committed.
+        return Err(CliError::Usage(
+            "--telemetry cannot be combined with --resume: the sidecar records of cells \
+             committed before the interruption cannot be recovered"
+                .into(),
+        ));
+    }
     let (mut spec, shard) = match load_run_input(input_path)? {
         RunInput::Spec(spec) => (spec, None),
         RunInput::Shard(shard) => (shard.spec.clone(), Some(shard)),
@@ -328,8 +346,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     // Open the crash-safe output: fresh, or resumed from its manifest.
     let (checkpoint, completed, skipped) = if resume {
         let (checkpoint, state) =
-            CheckpointSink::resume(&out_path, &campaign_name, total_cells, &cells)
-                .map_err(|e| fail(e.to_string()))?;
+            CheckpointSink::resume(&out_path, &campaign_name, total_cells, &cells)?;
         if state.truncated_bytes > 0 {
             eprintln!(
                 "truncated a torn final record ({} bytes) left by a crashed run",
@@ -346,8 +363,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         (checkpoint, state.completed, skipped)
     } else {
         let checkpoint =
-            CheckpointSink::create(&out_path, &campaign_name, total_cells, cells.clone())
-                .map_err(|e| fail(e.to_string()))?;
+            CheckpointSink::create(&out_path, &campaign_name, total_cells, cells.clone())?;
         (checkpoint, Vec::new(), 0)
     };
 
@@ -365,12 +381,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     }
     // The telemetry sidecar rides beside the results stream; the results
     // JSONL itself stays byte-identical armed or disarmed (CI-enforced).
-    let telemetry_path = telemetry.then(|| out_path.with_extension("telemetry.jsonl"));
-    let telemetry_sink = match &telemetry_path {
+    let telemetry_sink = match telemetry.then(|| out_path.with_extension("telemetry.jsonl")) {
         Some(path) => {
-            let file = std::fs::File::create(path)
+            let file = std::fs::File::create(&path)
                 .map_err(|e| fail(format!("cannot create {}: {e}", path.display())))?;
-            Some(TelemetrySidecarSink::new(std::io::BufWriter::new(file)))
+            Some((path, TelemetrySidecarSink::new(std::io::BufWriter::new(file))))
         }
         None => None,
     };
@@ -397,13 +412,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         heartbeat: !quiet,
     };
     let report = campaign.run(&mut sinks);
-    let manifest = sinks.checkpoint.finish().map_err(|e| fail(e.to_string()))?;
-    if let Some(sink) = sinks.telemetry.take() {
-        let Some(path) = telemetry_path.as_ref() else {
-            return Err(fail(
-                "internal: telemetry sidecar sink without a sidecar path".to_string(),
-            ));
-        };
+    let manifest = sinks.checkpoint.finish()?;
+    if let Some((path, sink)) = sinks.telemetry.take() {
         let records = sink.records_written();
         sink.finish().map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
         println!("wrote {records} telemetry sidecar records to {}", path.display());
@@ -422,10 +432,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         let total = *total.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         print_attribution(&total, &mut std::io::stdout().lock());
         // Appended after the committed results, the footer sits past the
-        // manifest's bytes_committed mark: `validate`, `report` and merge
-        // inputs skip it, and `--resume` truncates it before continuing.
+        // manifest's bytes_committed mark: `validate`, `report` and `merge`
+        // skip it, and `--resume` truncates it before continuing.
         let footer = obj(vec![("attribution", total.to_json())]).to_compact();
-        use std::io::Write as _;
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(&out_path)
@@ -451,27 +460,21 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// The `run` command's composite campaign sink: crash-safe JSONL + live
-/// progress + the end-of-run summary table.
+/// The `run` command's composite sink: crash-safe JSONL + live progress +
+/// the end-of-run summary table + the optional telemetry sidecar.
 struct RunSinks {
     checkpoint: CheckpointSink,
     summary: SummarySink,
     progress: Option<ProgressSink<std::io::Stderr>>,
-    telemetry: Option<TelemetrySidecarSink<std::io::BufWriter<std::fs::File>>>,
+    telemetry: Option<(PathBuf, TelemetrySidecarSink<std::io::BufWriter<std::fs::File>>)>,
     heartbeat: bool,
 }
 
-impl CampaignSink for RunSinks {
-    fn on_scenario_start(&mut self, scenario: &srs_sim::Scenario) {
-        if let Some(progress) = &mut self.progress {
-            progress.on_scenario_start(scenario);
-        }
-    }
-
+impl ResultSink for RunSinks {
     fn on_result(&mut self, result: &ScenarioResult) {
         self.checkpoint.on_result(result);
         self.summary.on_result(result);
-        if let Some(telemetry) = &mut self.telemetry {
+        if let Some((_, telemetry)) = &mut self.telemetry {
             telemetry.on_result(result);
         }
         if let Some(progress) = &mut self.progress {
@@ -502,7 +505,7 @@ impl CampaignSink for RunSinks {
 
     fn on_finish(&mut self, report: &srs_sim::CampaignReport) {
         if let Some(progress) = &mut self.progress {
-            progress.on_finish(report.completed);
+            progress.on_finish(report);
         }
     }
 }
@@ -875,50 +878,20 @@ impl ReportGroup {
 }
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
-    use std::io::BufRead;
     let [path] = args else {
         return Err(CliError::Usage("report needs exactly one results file".into()));
     };
-    let file = std::fs::File::open(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
-    let reader = std::io::BufReader::new(file);
     let mut groups: BTreeMap<(String, u64), ReportGroup> = BTreeMap::new();
-    let mut attribution: Option<AttributionReport> = None;
     // (generation, best name, best ratio, best crossing, best-so-far ratio)
     let mut search_rows: Vec<(u64, String, f64, Option<u64>, f64)> = Vec::new();
     let mut search_header: Option<(String, u64)> = None;
-    let mut records = 0usize;
-    let mut torn = false;
-    let mut lines = reader.lines().enumerate().peekable();
-    while let Some((lineno, line)) = lines.next() {
-        let line = line.map_err(|e| fail(format!("{path}:{}: {e}", lineno + 1)))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = match Json::parse(&line) {
-            Ok(record) => record,
-            // A torn final line is a crash artifact, not data corruption.
-            Err(_) if lines.peek().is_none() && records > 0 => {
-                torn = true;
-                break;
-            }
-            Err(error) => return Err(fail(format!("{path}:{}: {error}", lineno + 1))),
-        };
-        // The footer `run --attribution` appends is not a result record.
-        if let Some(footer) = record.get("attribution") {
-            attribution = Some(
-                AttributionReport::from_json(footer)
-                    .map_err(|e| fail(format!("{path}:{}: {e}", lineno + 1)))?,
-            );
-            continue;
-        }
+    let (footer, torn) = read_results(Path::new(path), |_, record| {
+        // The validators vouch for the fields read below; a miss past them
+        // is still a user-facing schema error, never a backtrace.
+        let missing = |what: &str| format!("record is missing {what}");
         // Generation records come from `search`; report the fitness curve.
         if record.get("generation").is_some() {
-            srs_sim::validate_search_record(&record)
-                .map_err(|message| fail(format!("{path}:{}: {message}", lineno + 1)))?;
-            // The validator above vouched for these fields; a miss past it
-            // is still a user-facing schema error, never a backtrace.
-            let missing =
-                |what: &str| fail(format!("{path}:{}: record is missing {what}", lineno + 1));
+            srs_sim::validate_search_record(record)?;
             let ratio_of = |entry: &Json| {
                 entry.get("score").and_then(|s| s.get("pressure_ratio")).and_then(Json::as_f64)
             };
@@ -948,12 +921,9 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
                 ratio_of(record.get("best_so_far").ok_or_else(|| missing("best_so_far"))?)
                     .ok_or_else(|| missing("best_so_far.score.pressure_ratio"))?,
             ));
-            records += 1;
-            continue;
+            return Ok(());
         }
-        validate_result_record(&record)
-            .map_err(|message| fail(format!("{path}:{}: {message}", lineno + 1)))?;
-        let missing = |what: &str| fail(format!("{path}:{}: record is missing {what}", lineno + 1));
+        validate_result_record(record)?;
         let scenario = record.get("scenario").ok_or_else(|| missing("scenario"))?;
         let result = record.get("result").ok_or_else(|| missing("result"))?;
         let defense = scenario
@@ -985,8 +955,15 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
             trh_crossed,
             integrity,
         );
-        records += 1;
-    }
+        Ok(())
+    })?;
+    // The footer `run --attribution` appends is not a result record.
+    let attribution = footer
+        .map(|footer| AttributionReport::from_json(&footer))
+        .transpose()
+        .map_err(|e| fail(format!("{path}: attribution footer: {e}")))?;
+    let records = search_rows.len() + groups.values().map(|g| g.count).sum::<usize>();
+    let torn = torn.is_some();
     if records == 0 {
         return Err(fail(format!("{path}: no result records")));
     }
@@ -1178,7 +1155,7 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, CliError> {
             out_path.display()
         )));
     }
-    let stats = merge_results(&inputs, &out_path).map_err(|e| fail(e.to_string()))?;
+    let stats = merge_results(&inputs, &out_path)?;
     println!(
         "merged {} records from {} inputs into {}",
         stats.records,
@@ -1269,62 +1246,18 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn validate_results(path: &str) -> Result<(), CliError> {
-    use std::io::{BufRead, Read};
-    // Results files are written streaming and can be arbitrarily large;
-    // validate them line by line rather than slurping the whole file.
-    let file = std::fs::File::open(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
-    let mut reader = std::io::BufReader::new(file);
     let mut records = 0usize;
-    let mut offset = 0u64;
-    let mut lineno = 0usize;
-    let mut line = String::new();
-    let mut truncated_at: Option<u64> = None;
-    loop {
-        line.clear();
-        let bytes =
-            reader.read_line(&mut line).map_err(|e| fail(format!("{path}:{}: {e}", lineno + 1)))?;
-        if bytes == 0 {
-            break;
+    let (_, truncated_at) = read_results(Path::new(path), |_, record| {
+        // Search streams carry generation records; grid runs carry
+        // scenario results. Dispatch on the discriminating key.
+        if record.get("generation").is_some() {
+            srs_sim::validate_search_record(record)?;
+        } else {
+            validate_result_record(record)?;
         }
-        lineno += 1;
-        let line_start = offset;
-        offset += bytes as u64;
-        let text = line.trim_end_matches('\n');
-        if text.trim().is_empty() {
-            continue;
-        }
-        match Json::parse(text) {
-            Ok(record) => {
-                // `run --attribution` appends a footer object after the
-                // results; it is metadata, not a (schema-checked) record.
-                if record.get("attribution").is_some() {
-                    continue;
-                }
-                // Search streams carry generation records; grid runs carry
-                // scenario results. Dispatch on the discriminating key.
-                if record.get("generation").is_some() {
-                    srs_sim::validate_search_record(&record)
-                        .map_err(|message| fail(format!("{path}:{lineno}: {message}")))?;
-                } else {
-                    validate_result_record(&record)
-                        .map_err(|message| fail(format!("{path}:{lineno}: {message}")))?;
-                }
-                records += 1;
-            }
-            Err(error) => {
-                // A final line that does not parse is the signature of a
-                // run killed mid-write — a crash artifact, not data
-                // corruption. Anything unparseable mid-file is an error.
-                let mut rest = String::new();
-                reader.read_to_string(&mut rest).map_err(|e| fail(format!("{path}: {e}")))?;
-                if rest.trim().is_empty() && records > 0 {
-                    truncated_at = Some(line_start);
-                    break;
-                }
-                return Err(fail(format!("{path}:{lineno}: {error}")));
-            }
-        }
-    }
+        records += 1;
+        Ok(())
+    })?;
     if records == 0 {
         return Err(fail(format!("{path}: no result records")));
     }
@@ -1411,30 +1344,6 @@ fn cmd_list(args: &[String]) -> Result<ExitCode, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srs_sim::ToJson;
-
-    #[test]
-    fn result_record_schema_accepts_real_records_and_rejects_broken_ones() {
-        // Build a real record by running the tiniest possible grid.
-        let spec = ExperimentSpec::parse(
-            r#"{
-                "name": "schema",
-                "patch": {"cores": 1, "target_instructions": 2000,
-                          "trace_records_per_core": 1000, "max_sim_ns": 2000000},
-                "defenses": ["scale-srs"],
-                "workloads": ["gups"],
-                "threads": 1
-            }"#,
-        )
-        .unwrap();
-        let results = spec.to_experiment().unwrap().run();
-        assert_eq!(results.len(), 1);
-        let record = results[0].to_json();
-        validate_result_record(&record).expect("real records pass the schema");
-
-        let broken = Json::parse(r#"{"scenario": {"index": 0}}"#).unwrap();
-        assert!(validate_result_record(&broken).is_err());
-    }
 
     #[test]
     fn out_path_derivation_rejects_stemless_inputs() {

@@ -1,6 +1,7 @@
 //! End-to-end campaign workflows through the `srs-cli` binary: crash →
 //! resume, plan → shard → merge, fault injection → degraded exit →
-//! repair — each proven byte-identical to an uninterrupted unsharded run.
+//! repair — each proven byte-identical to an uninterrupted unsharded run —
+//! plus the same crash → resume guarantee for the search stream.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -14,6 +15,19 @@ const TINY_SPEC: &str = r#"{
     "threads": 2
 }"#;
 
+const TINY_SEARCH_SPEC: &str = r#"{
+    "name": "search_tiny",
+    "patch": {"cores": 1, "target_instructions": 18446744073709551615,
+              "trace_records_per_core": 1500, "refresh_window_ns": 8000000,
+              "max_sim_ns": 1500000},
+    "defenses": ["baseline"],
+    "thresholds": [300],
+    "workloads": ["gups"],
+    "threads": 2,
+    "search": {"population": 4, "generations": 2, "warmup_ns": 200000,
+               "seed": 11, "elites": 1}
+}"#;
+
 /// A unique scratch directory per test holding the tiny spec.
 fn scratch(test: &str) -> (PathBuf, PathBuf) {
     let dir = std::env::temp_dir().join(format!("srs-cli-{}-{test}", std::process::id()));
@@ -24,12 +38,20 @@ fn scratch(test: &str) -> (PathBuf, PathBuf) {
     (dir, spec)
 }
 
-/// The CLI under test, with the campaign test hooks scrubbed from the
-/// inherited environment so only explicit `env` calls inject faults.
+/// The CLI under test, with the campaign and search test hooks scrubbed
+/// from the inherited environment so only explicit `env` calls inject
+/// faults.
 fn cli(dir: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_srs-cli"));
-    cmd.current_dir(dir).env_remove("SRS_CAMPAIGN_FAIL").env_remove("SRS_CAMPAIGN_CRASH_AFTER");
+    cmd.current_dir(dir)
+        .env_remove("SRS_CAMPAIGN_FAIL")
+        .env_remove("SRS_CAMPAIGN_CRASH_AFTER")
+        .env_remove("SRS_SEARCH_CRASH_AFTER");
     cmd
+}
+
+fn complete_lines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 fn run_ok(cmd: &mut Command) -> Output {
@@ -64,6 +86,7 @@ fn killed_mid_run_then_resume_is_byte_identical_to_an_uninterrupted_run() {
     assert!(!crashed.status.success(), "the crash hook must kill the process");
     let torn = std::fs::read(dir.join("out.jsonl")).expect("torn output exists");
     assert!(!reference.starts_with(&torn) || torn.len() < reference.len(), "output is partial");
+    assert_eq!(complete_lines(&torn), 2, "two records committed before the torn third");
 
     // The torn file fails a naive byte-diff but resume repairs it.
     run_ok(cli(&dir).args([
@@ -210,4 +233,87 @@ fn collisions_are_refused_without_force_and_threads_zero_means_auto() {
     assert!(stderr.contains("already exists"), "collision diagnostic: {stderr}");
 
     run_ok(cli(&dir).args(["run", spec.to_str().unwrap(), "--quiet", "--force"]));
+}
+
+#[test]
+fn search_crash_hook_commits_n_generations_and_resume_is_byte_identical() {
+    let (dir, _) = scratch("search-crash");
+    std::fs::write(dir.join("search_tiny.json"), TINY_SEARCH_SPEC).unwrap();
+    run_ok(cli(&dir).args(["search", "search_tiny.json", "--out", "reference.jsonl", "--quiet"]));
+    let reference = std::fs::read(dir.join("reference.jsonl")).unwrap();
+    assert_eq!(complete_lines(&reference), 2);
+
+    // Commit one generation, tear the second, abort.
+    let crashed = cli(&dir)
+        .args(["search", "search_tiny.json", "--out", "out.jsonl", "--quiet"])
+        .env("SRS_SEARCH_CRASH_AFTER", "1")
+        .output()
+        .unwrap();
+    assert!(!crashed.status.success(), "the crash hook must kill the process");
+    let torn = std::fs::read(dir.join("out.jsonl")).unwrap();
+    let first_line = reference.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert_eq!(complete_lines(&torn), 1, "exactly one generation committed");
+    assert!(torn.len() > first_line, "the second generation is torn, not missing");
+    assert_eq!(torn[..first_line], reference[..first_line]);
+
+    run_ok(cli(&dir).args([
+        "search",
+        "search_tiny.json",
+        "--out",
+        "out.jsonl",
+        "--resume",
+        "--quiet",
+    ]));
+    assert_eq!(std::fs::read(dir.join("out.jsonl")).unwrap(), reference);
+    assert_eq!(
+        std::fs::read(dir.join("out.jsonl.manifest.json")).unwrap(),
+        std::fs::read(dir.join("reference.jsonl.manifest.json")).unwrap(),
+        "the resumed manifest matches the uninterrupted one"
+    );
+}
+
+#[test]
+fn merge_skips_the_attribution_footer() {
+    let (dir, spec) = scratch("merge-footer");
+    let reference = reference_run(&dir, &spec);
+    run_ok(cli(&dir).args([
+        "run",
+        spec.to_str().unwrap(),
+        "--attribution",
+        "--out",
+        "attr.jsonl",
+        "--quiet",
+    ]));
+    let attributed = std::fs::read(dir.join("attr.jsonl")).unwrap();
+    assert!(attributed.starts_with(&reference), "the results precede the footer");
+    assert_eq!(complete_lines(&attributed), complete_lines(&reference) + 1, "one footer line");
+
+    run_ok(cli(&dir).args(["merge", "attr.jsonl", "--out", "merged.jsonl"]));
+    assert_eq!(std::fs::read(dir.join("merged.jsonl")).unwrap(), reference);
+}
+
+#[test]
+fn telemetry_with_resume_is_a_usage_error_that_leaves_the_sidecar_alone() {
+    let (dir, spec) = scratch("telemetry-resume");
+    run_ok(cli(&dir).args([
+        "run",
+        spec.to_str().unwrap(),
+        "--telemetry",
+        "--out",
+        "out.jsonl",
+        "--quiet",
+    ]));
+    let results = std::fs::read(dir.join("out.jsonl")).unwrap();
+    let sidecar = std::fs::read(dir.join("out.telemetry.jsonl")).unwrap();
+    assert_eq!(complete_lines(&sidecar), 6, "one sidecar record per cell");
+
+    let refused = cli(&dir)
+        .args(["run", spec.to_str().unwrap(), "--telemetry", "--resume", "--out", "out.jsonl"])
+        .output()
+        .unwrap();
+    assert_eq!(refused.status.code(), Some(2), "a usage error");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("--telemetry cannot be combined with --resume"), "stderr: {stderr}");
+    assert_eq!(std::fs::read(dir.join("out.telemetry.jsonl")).unwrap(), sidecar);
+    assert_eq!(std::fs::read(dir.join("out.jsonl")).unwrap(), results);
 }

@@ -22,15 +22,23 @@
 //!   duplicates) and merges them back into one submission-ordered result
 //!   set, byte-identical to an uninterrupted unsharded run.
 
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::config::SystemConfig;
+use crate::journal::{load_manifest, manifest_path, save_manifest, write_atomic, Journal};
 use crate::json::{obj, Json, ToJson};
 use crate::runner::{FaultInjection, RetryPolicy};
-use crate::scenario::{Experiment, Scenario, ScenarioResult, UnitStats};
-use crate::sink::validate_result_record;
+use crate::scenario::{Experiment, ScenarioResult, UnitStats};
+use crate::sink::{validate_result_record, ResultSink};
 use crate::spec::{ExperimentSpec, SpecError};
+
+pub use crate::journal::read_results;
+
+/// The former name of [`ResultSink`], from when campaigns had a sink trait
+/// of their own. The benchmark's probe (`perfbench/src/main.rs`) is frozen
+/// with the benchmark and still imports this name next to `ResultSink`;
+/// the alias goes with the next revision of the benchmark.
+pub use crate::sink::ResultSink as CampaignSink;
 
 /// A cell that exhausted its retry budget. Recorded in the
 /// [`CampaignManifest`] so a later `--resume` retries exactly these cells.
@@ -69,8 +77,8 @@ impl CellFailure {
     }
 }
 
-/// What a [`Campaign::run`] did, delivered to
-/// [`CampaignSink::on_finish`] and returned to the caller.
+/// What a [`Campaign::run`] did, delivered to [`ResultSink::on_finish`]
+/// and returned to the caller.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Cells in the full experiment grid.
@@ -83,51 +91,6 @@ pub struct CampaignReport {
     pub completed: usize,
     /// Cells that exhausted their retry budget this run.
     pub failed: Vec<CellFailure>,
-}
-
-impl CampaignReport {
-    /// `true` when every planned cell completed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.failed.is_empty() && self.skipped + self.completed == self.planned + self.skipped
-    }
-}
-
-/// A streaming consumer of campaign outcomes — [`crate::sink::ResultSink`]
-/// extended with per-cell failure delivery.
-///
-/// `on_result` and `on_cell_failed` together are invoked exactly once per
-/// executed cell, strictly in ascending cell-index order, which keeps
-/// campaign output deterministic run to run. `on_scenario_start` arrives in
-/// completion-race order and never fires for skipped cells.
-pub trait CampaignSink {
-    /// A worker started simulating `scenario` (arrival order is
-    /// nondeterministic; do not sequence on it).
-    fn on_scenario_start(&mut self, scenario: &Scenario) {
-        let _ = scenario;
-    }
-
-    /// One cell finished; called in ascending cell-index order.
-    fn on_result(&mut self, result: &ScenarioResult);
-
-    /// One cell exhausted its retry budget; called at the cell's slot in
-    /// the same ascending order as `on_result`.
-    fn on_cell_failed(&mut self, failure: &CellFailure) {
-        let _ = failure;
-    }
-
-    /// One execution unit finished (successfully or not), reporting its
-    /// wall-clock duration and attempt count; called once per unit in unit
-    /// submission order. Wall times are machine-dependent — treat them as
-    /// profiling data, never as results.
-    fn on_unit_stats(&mut self, stats: &UnitStats) {
-        let _ = stats;
-    }
-
-    /// The campaign drained (successfully or degraded).
-    fn on_finish(&mut self, report: &CampaignReport) {
-        let _ = report;
-    }
 }
 
 /// The deterministic execution units of an experiment's grid: each unit is
@@ -164,11 +127,12 @@ fn unit_weight(unit: &[usize], configs: &[SystemConfig]) -> usize {
 /// shard of it).
 ///
 /// ```no_run
-/// use srs_sim::campaign::{Campaign, CampaignSink, CellFailure};
+/// use srs_sim::campaign::Campaign;
 /// use srs_sim::scenario::Experiment;
+/// use srs_sim::sink::ResultSink;
 ///
 /// struct Count(usize);
-/// impl CampaignSink for Count {
+/// impl ResultSink for Count {
 ///     fn on_result(&mut self, _: &srs_sim::ScenarioResult) {
 ///         self.0 += 1;
 ///     }
@@ -274,7 +238,7 @@ impl Campaign {
     /// outcome into `sink` in ascending cell-index order. A unit that
     /// keeps panicking past the retry budget reports a [`CellFailure`] for
     /// each of its cells and the campaign keeps going.
-    pub fn run(&self, sink: &mut dyn CampaignSink) -> CampaignReport {
+    pub fn run(&self, sink: &mut dyn ResultSink) -> CampaignReport {
         let planned = self.planned();
         let skipped = match &self.cells {
             Some(cells) => {
@@ -293,7 +257,7 @@ impl Campaign {
         };
         let mut completed = 0usize;
         let mut failed: Vec<CellFailure> = Vec::new();
-        let ran = self.experiment.run_streaming_opts(&opts, |event| match event {
+        let ran = self.experiment.run_streaming(&opts, |event| match event {
             crate::scenario::ExecEvent::Started(scenario) => sink.on_scenario_start(scenario),
             crate::scenario::ExecEvent::Finished(result) => {
                 completed += 1;
@@ -343,10 +307,6 @@ impl std::fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
-
-fn io_err(path: &Path, action: &str, error: &std::io::Error) -> CampaignError {
-    CampaignError::Io(format!("cannot {action} {}: {error}", path.display()))
-}
 
 /// Encode a sorted, deduplicated cell list as inclusive `[first, last]`
 /// ranges — `[0,1,2,3,7]` becomes `[[0,3],[7,7]]` — so a manifest stays
@@ -584,7 +544,7 @@ impl CampaignManifest {
     /// The manifest path for an output file: `<out>.manifest.json`.
     #[must_use]
     pub fn path_for(out: &Path) -> PathBuf {
-        PathBuf::from(format!("{}.manifest.json", out.display()))
+        manifest_path(out)
     }
 
     /// Decode a manifest; `origin` names the source in errors.
@@ -636,22 +596,14 @@ impl CampaignManifest {
 
     /// Load a manifest from disk.
     pub fn load(path: &Path) -> Result<Self, CampaignError> {
-        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, "read", &e))?;
-        let origin = path.display().to_string();
-        let json =
-            Json::parse(&text).map_err(|e| CampaignError::Corrupt(format!("{origin}: {e}")))?;
-        Self::from_json(&origin, &json)
+        Self::from_json(&path.display().to_string(), &load_manifest(path)?)
     }
 
     /// Persist the manifest atomically: write `<path>.tmp`, then rename
     /// over `path`, so a crash at any instant leaves either the old or the
     /// new manifest — never a torn one.
     pub fn save(&self, path: &Path) -> Result<(), CampaignError> {
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-        let mut text = self.to_json().to_pretty();
-        text.push('\n');
-        std::fs::write(&tmp, text).map_err(|e| io_err(&tmp, "write", &e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename manifest over", &e))
+        Ok(save_manifest(path, &self.to_json())?)
     }
 }
 
@@ -679,23 +631,23 @@ pub struct ResumeState {
 /// truncates the output back to `bytes_committed` and re-runs that cell.
 ///
 /// For crash-recovery tests, the environment variable
-/// `SRS_CAMPAIGN_CRASH_AFTER=N` makes the sink write only the first half
-/// of the N-th record of the current process, flush, and abort —
-/// deterministically manufacturing a torn final record.
+/// `SRS_CAMPAIGN_CRASH_AFTER=N` makes the sink commit the first N records
+/// of the current process, write only the first half of record N + 1,
+/// flush, and abort — deterministically manufacturing a torn final record.
 #[derive(Debug)]
 pub struct CheckpointSink {
-    out_path: PathBuf,
+    journal: Journal,
     manifest_path: PathBuf,
     manifest: CampaignManifest,
-    writer: BufWriter<std::fs::File>,
     /// Highest cell index already in the file when this run started;
     /// appending below it means the file needs an index-order repair pass.
     prev_max: Option<usize>,
     needs_sort: bool,
-    records_this_run: usize,
-    crash_after: Option<usize>,
-    error: Option<String>,
+    error: Option<CampaignError>,
 }
+
+/// The crash-test hook of campaign output streams.
+const CRASH_AFTER_VAR: &str = "SRS_CAMPAIGN_CRASH_AFTER";
 
 impl CheckpointSink {
     /// Start a fresh campaign output at `out` (truncating it) for a run
@@ -706,27 +658,25 @@ impl CheckpointSink {
         total_cells: usize,
         cells: Vec<usize>,
     ) -> Result<Self, CampaignError> {
-        let file = std::fs::File::create(out).map_err(|e| io_err(out, "create", &e))?;
+        let journal = Journal::create(out, CRASH_AFTER_VAR)?;
         let manifest_path = CampaignManifest::path_for(out);
         let manifest = CampaignManifest::new(campaign, total_cells, cells);
         manifest.save(&manifest_path)?;
         Ok(Self {
-            out_path: out.to_path_buf(),
+            journal,
             manifest_path,
             manifest,
-            writer: BufWriter::new(file),
             prev_max: None,
             needs_sort: false,
-            records_this_run: 0,
-            crash_after: crash_after_from_env(),
             error: None,
         })
     }
 
     /// Resume a crashed or interrupted campaign at `out`: load the
     /// manifest, verify it belongs to the same campaign and cell set,
-    /// truncate any torn final record past `bytes_committed`, clear
-    /// recorded failures for retry, and reopen the output for append.
+    /// truncate any torn final record past `bytes_committed` (refusing an
+    /// output shorter than that), clear recorded failures for retry, and
+    /// reopen the output for append.
     pub fn resume(
         out: &Path,
         campaign: &str,
@@ -751,101 +701,65 @@ impl CheckpointSink {
                 manifest.total_cells
             )));
         }
-        let on_disk = std::fs::metadata(out).map_err(|e| io_err(out, "stat", &e))?.len();
-        if on_disk < manifest.bytes_committed {
-            return Err(CampaignError::Corrupt(format!(
-                "{} is {on_disk} bytes but its manifest committed {}; the output was \
-                 truncated externally",
-                out.display(),
-                manifest.bytes_committed
-            )));
-        }
-        let truncated_bytes = on_disk - manifest.bytes_committed;
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(out)
-            .map_err(|e| io_err(out, "open", &e))?;
-        file.set_len(manifest.bytes_committed).map_err(|e| io_err(out, "truncate", &e))?;
-        drop(file);
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(out)
-            .map_err(|e| io_err(out, "open", &e))?;
-        let retried_failures = std::mem::take(&mut manifest.failed);
+        let (journal, truncated_bytes) =
+            Journal::resume(out, manifest.bytes_committed, CRASH_AFTER_VAR)?;
         let state = ResumeState {
             completed: manifest.completed.clone(),
-            retried_failures,
+            retried_failures: std::mem::take(&mut manifest.failed),
             truncated_bytes,
         };
-        let prev_max = manifest.completed.iter().copied().max();
-        let sink = Self {
-            out_path: out.to_path_buf(),
-            manifest_path,
-            manifest,
-            writer: BufWriter::new(file),
-            prev_max,
-            needs_sort: false,
-            records_this_run: 0,
-            crash_after: crash_after_from_env(),
-            error: None,
-        };
+        let prev_max = manifest.completed.last().copied();
+        let sink =
+            Self { journal, manifest_path, manifest, prev_max, needs_sort: false, error: None };
         Ok((sink, state))
-    }
-
-    /// Records committed across all runs of this campaign output.
-    #[must_use]
-    pub fn records_committed(&self) -> usize {
-        self.manifest.completed.len()
     }
 
     /// Close the stream: repair record order if resume appended
     /// lower-index cells behind higher ones (rewrite sorted by
     /// `scenario.index`, atomically), persist the final manifest, and
     /// report the first latched I/O error if any.
-    pub fn finish(mut self) -> Result<CampaignManifest, CampaignError> {
-        if let Some(message) = self.error {
-            return Err(CampaignError::Io(message));
+    pub fn finish(self) -> Result<CampaignManifest, CampaignError> {
+        let Self { journal, manifest_path, manifest, needs_sort, error, .. } = self;
+        if let Some(error) = error {
+            return Err(error);
         }
-        self.writer.flush().map_err(|e| io_err(&self.out_path, "flush", &e))?;
-        drop(self.writer);
-        if self.needs_sort {
-            sort_results_file(&self.out_path)?;
+        let out = journal.path().to_path_buf();
+        // Close the stream before the order repair replaces the file.
+        drop(journal);
+        if needs_sort {
+            let mut lines = indexed_lines(&out)?;
+            lines.sort_by_key(|&(index, _)| index);
+            write_lines(&out, &lines)?;
         }
-        self.manifest.save(&self.manifest_path)?;
-        Ok(self.manifest)
+        manifest.save(&manifest_path)?;
+        Ok(manifest)
+    }
+
+    /// Rewrite the manifest, latching the first failure.
+    fn save_manifest(&mut self) {
+        if let Err(error) = self.manifest.save(&self.manifest_path) {
+            self.error = Some(error);
+        }
     }
 }
 
-impl CampaignSink for CheckpointSink {
+impl ResultSink for CheckpointSink {
     fn on_result(&mut self, result: &ScenarioResult) {
         if self.error.is_some() {
             return;
         }
         let index = result.scenario.index;
-        let mut line = result.to_json().to_compact();
-        line.push('\n');
-        if self.crash_after == Some(self.records_this_run) {
-            // Crash-recovery test hook: manufacture a torn final record.
-            let _ = self.writer.write_all(&line.as_bytes()[..line.len() / 2]);
-            let _ = self.writer.flush();
-            std::process::abort();
-        }
-        match self.writer.write_all(line.as_bytes()).and_then(|()| self.writer.flush()) {
-            Ok(()) => {
-                self.records_this_run += 1;
+        match self.journal.append(result.to_json().to_compact()) {
+            Ok(len) => {
                 if self.prev_max.is_some_and(|max| index < max) {
                     self.needs_sort = true;
                 }
-                self.manifest.bytes_committed += line.len() as u64;
+                self.manifest.bytes_committed = len;
                 let slot = self.manifest.completed.partition_point(|&c| c < index);
                 self.manifest.completed.insert(slot, index);
-                if let Err(e) = self.manifest.save(&self.manifest_path) {
-                    self.error = Some(e.to_string());
-                }
+                self.save_manifest();
             }
-            Err(e) => {
-                self.error = Some(format!("writing {}: {e}", self.out_path.display()));
-            }
+            Err(error) => self.error = Some(error.into()),
         }
     }
 
@@ -854,9 +768,7 @@ impl CampaignSink for CheckpointSink {
             return;
         }
         self.manifest.failed.push(failure.clone());
-        if let Err(e) = self.manifest.save(&self.manifest_path) {
-            self.error = Some(e.to_string());
-        }
+        self.save_manifest();
     }
 
     fn on_unit_stats(&mut self, stats: &UnitStats) {
@@ -870,41 +782,36 @@ impl CampaignSink for CheckpointSink {
     }
 }
 
-fn crash_after_from_env() -> Option<usize> {
-    std::env::var("SRS_CAMPAIGN_CRASH_AFTER").ok()?.trim().parse().ok()
+/// Every result record of a complete results file, keyed by its cell
+/// index and kept verbatim. Each record must pass the result-record
+/// schema; the `run --attribution` footer is skipped, and a torn final
+/// record (a run that has not been resumed) is refused.
+fn indexed_lines(path: &Path) -> Result<Vec<(usize, String)>, CampaignError> {
+    let mut lines = Vec::new();
+    let (_, torn) = read_results(path, |text, record| {
+        validate_result_record(record)?;
+        let index = record.get("scenario").and_then(|s| s.get("index")).and_then(Json::as_u64);
+        lines.push((index.ok_or("scenario.index must be an integer")? as usize, text.to_string()));
+        Ok(())
+    })?;
+    match torn {
+        Some(offset) => Err(CampaignError::Corrupt(format!(
+            "{}: truncated final record at byte offset {offset}; finish the run with --resume \
+             first",
+            path.display()
+        ))),
+        None => Ok(lines),
+    }
 }
 
-/// Rewrite a results file with its lines sorted by `scenario.index`
-/// (atomically, via tmp + rename). Lines are moved verbatim, so the
-/// repaired file is byte-identical to one written in order.
-fn sort_results_file(path: &Path) -> Result<(), CampaignError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, "read", &e))?;
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let index = Json::parse(line)
-            .ok()
-            .and_then(|r| r.get("scenario").and_then(|s| s.get("index").and_then(Json::as_u64)))
-            .ok_or_else(|| {
-                CampaignError::Corrupt(format!(
-                    "{}:{}: not a result record; cannot repair order",
-                    path.display(),
-                    lineno + 1
-                ))
-            })? as usize;
-        lines.push((index, line));
+/// Atomically replace `path` with these records, one per line, in order.
+fn write_lines(path: &Path, lines: &[(usize, String)]) -> Result<(), CampaignError> {
+    let mut text = String::with_capacity(lines.iter().map(|(_, line)| line.len() + 1).sum());
+    for (_, line) in lines {
+        text.push_str(line);
+        text.push('\n');
     }
-    lines.sort_by_key(|&(index, _)| index);
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    let mut sorted = String::with_capacity(text.len());
-    for (_, line) in &lines {
-        sorted.push_str(line);
-        sorted.push('\n');
-    }
-    std::fs::write(&tmp, sorted).map_err(|e| io_err(&tmp, "write", &e))?;
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename repaired output over", &e))
+    Ok(write_atomic(path, &text)?)
 }
 
 /// What [`merge_results`] wrote.
@@ -917,35 +824,20 @@ pub struct MergeStats {
 }
 
 /// Validate and merge shard result files into one submission-ordered
-/// result set at `out`.
+/// result set at `out`, written atomically.
 ///
-/// Every line of every input must parse and pass the result-record schema;
-/// the union of cell indices must be exactly `0..n` with no duplicates
-/// (a duplicate means two shards ran the same cell; a gap means a shard is
-/// missing or incomplete). Lines are moved byte-verbatim, so the merged
-/// file is byte-identical to an uninterrupted unsharded run's output.
+/// Every record of every input must pass the result-record schema, and no
+/// input may end in a torn record (`run --attribution` footers are
+/// skipped); the union of cell indices must be exactly `0..n` with no
+/// duplicates (a duplicate means two shards ran the same cell; a gap means
+/// a shard is missing or incomplete). Lines are moved byte-verbatim, so
+/// the merged file is byte-identical to an uninterrupted unsharded run's
+/// output.
 pub fn merge_results(inputs: &[PathBuf], out: &Path) -> Result<MergeStats, CampaignError> {
     let mut records: Vec<(usize, String)> = Vec::new();
     let mut origin_of: fxhash::FxHashMap<usize, usize> = fxhash::FxHashMap::default();
     for (input_no, input) in inputs.iter().enumerate() {
-        let text = std::fs::read_to_string(input).map_err(|e| io_err(input, "read", &e))?;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let at = format!("{}:{}", input.display(), lineno + 1);
-            let record =
-                Json::parse(line).map_err(|e| CampaignError::Corrupt(format!("{at}: {e}")))?;
-            validate_result_record(&record)
-                .map_err(|message| CampaignError::Corrupt(format!("{at}: {message}")))?;
-            // Invariant: `validate_result_record` above already rejected
-            // any record without a numeric `scenario.index`.
-            #[allow(clippy::expect_used)]
-            let index = record
-                .get("scenario")
-                .and_then(|s| s.get("index"))
-                .and_then(Json::as_u64)
-                .expect("schema guarantees scenario.index") as usize;
+        for (index, line) in indexed_lines(input)? {
             if let Some(&other) = origin_of.get(&index) {
                 return Err(CampaignError::Mismatch(format!(
                     "cell {index} appears in both {} and {}: shards overlap",
@@ -954,7 +846,7 @@ pub fn merge_results(inputs: &[PathBuf], out: &Path) -> Result<MergeStats, Campa
                 )));
             }
             origin_of.insert(index, input_no);
-            records.push((index, line.to_string()));
+            records.push((index, line));
         }
     }
     records.sort_by_key(|&(index, _)| index);
@@ -966,21 +858,14 @@ pub fn merge_results(inputs: &[PathBuf], out: &Path) -> Result<MergeStats, Campa
             )));
         }
     }
-    let file = std::fs::File::create(out).map_err(|e| io_err(out, "create", &e))?;
-    let mut writer = BufWriter::new(file);
-    for (_, line) in &records {
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| io_err(out, "write", &e))?;
-    }
-    writer.flush().map_err(|e| io_err(out, "flush", &e))?;
+    write_lines(out, &records)?;
     Ok(MergeStats { inputs: inputs.len(), records: records.len() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::sample_result as result;
 
     /// A unique scratch directory per test, under the system temp dir.
     fn scratch(test: &str) -> PathBuf {
@@ -988,47 +873,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir
-    }
-
-    fn result(index: usize) -> ScenarioResult {
-        use crate::metrics::{NormalizedResult, SimResult};
-        use srs_core::DefenseKind;
-        use srs_trackers::TrackerKind;
-        let workload = srs_workloads::all_workloads().remove(0);
-        ScenarioResult {
-            scenario: Scenario {
-                index,
-                defense: DefenseKind::ScaleSrs,
-                t_rh: 1200,
-                tracker: TrackerKind::MisraGries,
-                cores: None,
-                seed: None,
-                attack: None,
-                workload,
-            },
-            result: NormalizedResult {
-                workload: "gups".to_string(),
-                defense: "scale-srs".to_string(),
-                t_rh: 1200,
-                normalized_performance: 0.5,
-                detail: SimResult {
-                    workload: "gups".to_string(),
-                    defense: "scale-srs".to_string(),
-                    t_rh: 1200,
-                    elapsed_ns: 10,
-                    per_core_ipc: vec![1.0],
-                    instructions: 100,
-                    controller: srs_dram::ControllerStats::default(),
-                    swaps: 1,
-                    rows_pinned: 0,
-                    pinned_hits: 0,
-                    max_row_activations_in_window: 3,
-                    security: None,
-                    integrity: None,
-                    telemetry: None,
-                },
-            },
-        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod campaign;
 pub mod config;
 pub mod error;
 pub mod faults;
+mod journal;
 pub mod json;
 pub mod metrics;
 pub mod runner;
@@ -51,8 +52,8 @@ pub mod telemetry;
 
 pub use attribution::{AttributionReport, SubsystemTimers};
 pub use campaign::{
-    execution_units, merge_results, plan_shards, Campaign, CampaignError, CampaignManifest,
-    CampaignReport, CampaignSink, CellFailure, CheckpointSink, MergeStats, ResumeState,
+    execution_units, merge_results, plan_shards, read_results, Campaign, CampaignError,
+    CampaignManifest, CampaignReport, CellFailure, CheckpointSink, MergeStats, ResumeState,
     ShardManifest,
 };
 pub use config::SystemConfig;
@@ -73,9 +74,7 @@ pub use search::{
     warm_system, BestFound, ReplayOutcome, SearchError, SearchOutcome,
 };
 pub use security::{SecurityReport, SecurityTracker};
-pub use sink::{
-    validate_result_record, Fanout, JsonlWriter, MemoryCollector, ProgressSink, ResultSink,
-};
+pub use sink::{validate_result_record, ProgressSink, ResultSink};
 pub use spec::{ConfigPatch, ExperimentSpec, Preset, SearchSpec, SpecError};
 pub use system::System;
 pub use telemetry::{

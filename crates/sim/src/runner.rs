@@ -192,7 +192,7 @@ pub enum JobEvent<O> {
 /// output to `handle` **in submission order** as soon as its prefix of the
 /// job list has completed — the execution primitive behind
 /// [`parallel_map_ordered`], [`run_parallel`] and the sink-driven
-/// [`crate::scenario::Experiment::run_with_sink`].
+/// [`crate::campaign::Campaign::run`].
 ///
 /// Outputs that finish ahead of an earlier, slower job are buffered until
 /// the gap closes, so `handle` observes a deterministic event sequence while

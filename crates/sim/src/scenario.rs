@@ -11,8 +11,8 @@
 //! The base configuration of a grid is a named [`Preset`] plus a typed
 //! [`ConfigPatch`] of overrides, so every experiment is fully serializable
 //! (see [`crate::spec::ExperimentSpec`] for the data form); results either
-//! come back as one `Vec` ([`Experiment::run`]) or stream into a
-//! [`ResultSink`] cell by cell ([`Experiment::run_with_sink`]).
+//! come back as one `Vec` ([`Experiment::run`]) or stream cell by cell into
+//! a [`crate::sink::ResultSink`] ([`crate::campaign::Campaign::run`]).
 //!
 //! ```
 //! use srs_core::DefenseKind;
@@ -50,30 +50,7 @@ use crate::metrics::{NormalizedResult, SimResult};
 use crate::runner::{
     normalize_against, parallel_for_each_ordered, parallel_map_ordered, run_workload, JobEvent,
 };
-use crate::sink::ResultSink;
 use crate::spec::{ConfigPatch, Preset};
-
-/// Builds the base [`SystemConfig`] for one (defense, threshold) cell; a
-/// plain function pointer so an [`Experiment`] stays `Clone + Send`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the serializable `Preset` + `ConfigPatch` path \
-            (`Experiment::with_preset` / `with_patch`) so experiments can be \
-            described as data; `with_config_fn` remains as a compatibility \
-            shim only"
-)]
-pub type ConfigFn = fn(DefenseKind, u64) -> SystemConfig;
-
-/// How an [`Experiment`] builds the base configuration of each cell.
-#[derive(Debug, Clone)]
-#[allow(deprecated)]
-enum ConfigSource {
-    /// The serializable path: a named preset with typed overrides.
-    Preset(Preset, ConfigPatch),
-    /// The deprecated function-pointer escape hatch, kept so pre-spec
-    /// callers continue to compile.
-    Legacy(ConfigFn),
-}
 
 /// One cell of an experiment grid: everything needed to reproduce a single
 /// simulation run.
@@ -133,7 +110,8 @@ pub struct Experiment {
     share_prefixes: bool,
     telemetry: Option<crate::telemetry::TelemetryConfig>,
     faults: Option<crate::faults::FaultsConfig>,
-    config: ConfigSource,
+    preset: Preset,
+    patch: ConfigPatch,
 }
 
 impl Default for Experiment {
@@ -160,7 +138,8 @@ impl Experiment {
             share_prefixes: true,
             telemetry: None,
             faults: None,
-            config: ConfigSource::Preset(Preset::ScaledForSpeed, ConfigPatch::default()),
+            preset: Preset::ScaledForSpeed,
+            patch: ConfigPatch::default(),
         }
     }
 
@@ -270,15 +249,10 @@ impl Experiment {
     }
 
     /// Build base configurations from this preset instead of the default
-    /// [`Preset::ScaledForSpeed`] — the serializable replacement for
-    /// `with_config_fn`.
+    /// [`Preset::ScaledForSpeed`].
     #[must_use]
     pub fn with_preset(mut self, preset: Preset) -> Self {
-        let patch = match self.config {
-            ConfigSource::Preset(_, patch) => patch,
-            ConfigSource::Legacy(_) => ConfigPatch::default(),
-        };
-        self.config = ConfigSource::Preset(preset, patch);
+        self.preset = preset;
         self
     }
 
@@ -287,31 +261,7 @@ impl Experiment {
     /// seed, attack — are applied after the patch and win over it).
     #[must_use]
     pub fn with_patch(mut self, patch: ConfigPatch) -> Self {
-        let preset = match self.config {
-            ConfigSource::Preset(preset, _) => preset,
-            ConfigSource::Legacy(_) => Preset::default(),
-        };
-        self.config = ConfigSource::Preset(preset, patch);
-        self
-    }
-
-    /// Build base configurations with an arbitrary function instead of a
-    /// [`Preset`] + [`ConfigPatch`].
-    ///
-    /// Deprecated: a function pointer cannot be serialized, so experiments
-    /// configured this way cannot be written to or re-run from a spec file.
-    /// Express the configuration as `with_preset(...)` plus
-    /// `with_patch(...)` instead; this shim remains so existing callers
-    /// keep compiling.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `with_preset` + `with_patch` (serializable); see \
-                `srs_sim::spec::ExperimentSpec`"
-    )]
-    #[allow(deprecated)]
-    #[must_use]
-    pub fn with_config_fn(mut self, config_fn: ConfigFn) -> Self {
-        self.config = ConfigSource::Legacy(config_fn);
+        self.patch = patch;
         self
     }
 
@@ -392,14 +342,8 @@ impl Experiment {
     /// applied (axes win over the patch).
     #[must_use]
     pub fn config_for(&self, scenario: &Scenario) -> SystemConfig {
-        let mut config = match &self.config {
-            ConfigSource::Preset(preset, patch) => {
-                let mut config = preset.base_config(scenario.defense, scenario.t_rh);
-                patch.apply(&mut config);
-                config
-            }
-            ConfigSource::Legacy(config_fn) => config_fn(scenario.defense, scenario.t_rh),
-        };
+        let mut config = self.preset.base_config(scenario.defense, scenario.t_rh);
+        self.patch.apply(&mut config);
         config.tracker = scenario.tracker;
         if let Some(cores) = scenario.cores {
             config.cores = cores;
@@ -423,67 +367,19 @@ impl Experiment {
     /// same experiment produce identical result sequences.
     ///
     /// This is the collect-to-`Vec` view of the streaming engine behind
-    /// [`Experiment::run_with_sink`] (each owned result is moved into the
-    /// vector as its prefix completes); grids large enough that one
-    /// end-of-run `Vec` is a problem should pass a streaming sink instead.
+    /// [`crate::campaign::Campaign::run`] (each owned result is moved into
+    /// the vector as its prefix completes); grids large enough that one
+    /// end-of-run `Vec` is a problem should run as a campaign with a
+    /// streaming [`crate::sink::ResultSink`] instead.
     #[must_use]
     pub fn run(&self) -> Vec<ScenarioResult> {
         let mut results = Vec::with_capacity(self.job_count());
-        self.run_streaming(|event| {
+        self.run_streaming(&ExecOptions::default(), |event| {
             if let ExecEvent::Finished(result) = event {
                 results.push(result);
             }
         });
         results
-    }
-
-    /// Run every cell of the grid, streaming each result into `sink` the
-    /// moment its submission-order prefix has completed (the sink sees
-    /// `scenario.index` 0, 1, 2, ... exactly once each) rather than
-    /// materializing the whole result set; attacked cells carry their
-    /// [`crate::security::SecurityReport`] on the emitted record. Two runs
-    /// of the same experiment produce identical `on_result` sequences.
-    ///
-    /// Baseline pre-runs are not reported to the sink; it observes grid
-    /// cells only.
-    pub fn run_with_sink(&self, sink: &mut dyn ResultSink) {
-        let total = self.run_streaming(|event| match event {
-            ExecEvent::Started(scenario) => sink.on_scenario_start(scenario),
-            ExecEvent::Finished(result) => sink.on_result(&result),
-            // Default options never isolate, so cells cannot fail.
-            ExecEvent::Failed(failure) => {
-                unreachable!("cell {} failed without isolation: {}", failure.index, failure.error)
-            }
-            // Wall-clock accounting is a campaign concern; ResultSinks
-            // observe results only.
-            ExecEvent::UnitDone(_) => {}
-        });
-        sink.on_finish(total);
-    }
-
-    /// The streaming execution core shared by [`Experiment::run`] and
-    /// [`Experiment::run_with_sink`]: `handle` receives each owned result
-    /// in submission order (and start notifications in completion-race
-    /// order), and the total cell count is returned.
-    ///
-    /// Two layers of work sharing keep a grid from re-simulating what it
-    /// already knows:
-    ///
-    /// * **Prefix sharing** (default, see [`Experiment::with_share_prefixes`]):
-    ///   benign cells that differ only in their mitigation axes (defense,
-    ///   threshold, tracker, swap rate) and run the same generated trace
-    ///   form a group that executes the common simulation prefix once on a
-    ///   shared trunk and forks each distinct configuration at its first
-    ///   mitigation feedback; the trunk doubles as the group's
-    ///   normalization baseline. Results are bit-identical to from-scratch
-    ///   runs (test-enforced).
-    /// * **Baseline sharing**: cells outside any group (attacked cells,
-    ///   singleton groups, or everything when sharing is disabled) still
-    ///   deduplicate their unprotected baselines — each distinct baseline
-    ///   configuration × workload is simulated once across the defense
-    ///   axis.
-    fn run_streaming(&self, handle: impl FnMut(ExecEvent<'_>)) -> usize {
-        self.run_streaming_opts(&ExecOptions::default(), handle)
     }
 
     /// Partition the grid into its deterministic **execution units**: each
@@ -500,10 +396,9 @@ impl Experiment {
     /// The trace is compared by [`NamedWorkload::trace_key`], not by name:
     /// differently named workloads that generate identical records join
     /// one group, and each distinct (trace, configuration) in it simulates
-    /// once. Keying by the *actual* neutralized configuration means a patch
-    /// or legacy config function that varies non-mitigation fields per
-    /// defense keeps those cells solo. Attacked and telemetry-armed cells
-    /// always stay solo.
+    /// once. Keying by the *actual* neutralized configuration means a preset
+    /// that varies non-mitigation fields per defense keeps those cells solo.
+    /// Attacked and telemetry-armed cells always stay solo.
     pub(crate) fn plan_units(
         &self,
         scenarios: &[Scenario],
@@ -556,17 +451,34 @@ impl Experiment {
         units
     }
 
-    /// The streaming execution core shared by [`Experiment::run`],
-    /// [`Experiment::run_with_sink`] and the campaign engine
-    /// ([`crate::campaign`]): `handle` receives each cell's outcome in
-    /// submission order (and start notifications in completion-race order)
-    /// and the number of cells executed is returned.
+    /// The streaming execution core shared by [`Experiment::run`] and the
+    /// campaign engine ([`crate::campaign::Campaign::run`]): `handle`
+    /// receives each cell's outcome in submission order (and start
+    /// notifications in completion-race order) and the number of cells
+    /// executed is returned.
     ///
     /// [`ExecOptions`] selects the execution policy: an optional cell
     /// subset (campaign shards and resume skip-lists) and optional
     /// panic isolation with bounded retry (campaign fault tolerance). The
     /// default options run the whole grid and propagate panics.
-    pub(crate) fn run_streaming_opts(
+    ///
+    /// Two layers of work sharing keep a grid from re-simulating what it
+    /// already knows:
+    ///
+    /// * **Prefix sharing** (default, see [`Experiment::with_share_prefixes`]):
+    ///   benign cells that differ only in their mitigation axes (defense,
+    ///   threshold, tracker, swap rate) and run the same generated trace
+    ///   form a group that executes the common simulation prefix once on a
+    ///   shared trunk and forks each distinct configuration at its first
+    ///   mitigation feedback; the trunk doubles as the group's
+    ///   normalization baseline. Results are bit-identical to from-scratch
+    ///   runs (test-enforced).
+    /// * **Baseline sharing**: cells outside any group (attacked cells,
+    ///   singleton groups, or everything when sharing is disabled) still
+    ///   deduplicate their unprotected baselines — each distinct baseline
+    ///   configuration × workload is simulated once across the defense
+    ///   axis.
+    pub(crate) fn run_streaming(
         &self,
         opts: &ExecOptions,
         mut handle: impl FnMut(ExecEvent<'_>),
@@ -818,7 +730,7 @@ pub(crate) struct ExecOptions {
         Option<std::sync::Arc<std::sync::Mutex<crate::attribution::AttributionReport>>>,
 }
 
-/// One event of [`Experiment::run_streaming_opts`]'s deterministic stream.
+/// One event of [`Experiment::run_streaming`]'s deterministic stream.
 // The events are transient (matched and consumed immediately, never
 // stored), so the variant size asymmetry costs nothing; boxing would add a
 // per-cell allocation for no benefit.
@@ -902,9 +814,9 @@ impl ToJson for Scenario {
 }
 
 impl ToJson for ScenarioResult {
-    /// The JSONL record shape [`crate::sink::JsonlWriter`] emits: the full
-    /// scenario descriptor plus the normalized result (security report
-    /// included for attacked cells).
+    /// The JSONL record shape of a results stream: the full scenario
+    /// descriptor plus the normalized result (security report included for
+    /// attacked cells).
     fn to_json(&self) -> Json {
         obj(vec![("scenario", self.scenario.to_json()), ("result", self.result.to_json())])
     }
@@ -1115,64 +1027,6 @@ mod tests {
         // The undefended baseline must be broken; SRS must hold.
         assert!(results[0].result.detail.security.as_ref().unwrap().trh_crossed);
         assert!(!results[1].result.detail.security.as_ref().unwrap().trh_crossed);
-    }
-
-    #[test]
-    fn run_with_sink_streams_the_same_results_run_returns() {
-        use crate::sink::{MemoryCollector, ResultSink};
-
-        struct CountingSink {
-            inner: MemoryCollector,
-            starts: usize,
-            finished_total: Option<usize>,
-        }
-        impl ResultSink for CountingSink {
-            fn on_scenario_start(&mut self, _scenario: &Scenario) {
-                self.starts += 1;
-            }
-            fn on_result(&mut self, result: &ScenarioResult) {
-                self.inner.on_result(result);
-            }
-            fn on_finish(&mut self, total: usize) {
-                self.finished_total = Some(total);
-            }
-        }
-
-        let experiment = Experiment::new()
-            .with_defenses(vec![DefenseKind::Srs, DefenseKind::ScaleSrs])
-            .with_workloads(two_workloads())
-            .with_patch(tiny())
-            .with_threads(4);
-        let mut sink =
-            CountingSink { inner: MemoryCollector::new(), starts: 0, finished_total: None };
-        experiment.run_with_sink(&mut sink);
-        assert_eq!(sink.starts, 4, "every cell reports a start event");
-        assert_eq!(sink.finished_total, Some(4));
-        let streamed = sink.inner.into_results();
-        for (i, r) in streamed.iter().enumerate() {
-            assert_eq!(r.scenario.index, i, "sink receives results in submission order");
-        }
-        assert_eq!(streamed, experiment.run(), "run() is the collector view of the stream");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_config_fn_shim_still_works() {
-        // The pre-spec escape hatch must keep compiling and producing the
-        // same configurations until external callers migrate off it.
-        fn legacy(defense: DefenseKind, t_rh: u64) -> SystemConfig {
-            let mut config = SystemConfig::scaled_for_speed(defense, t_rh);
-            config.cores = 3;
-            config
-        }
-        let experiment = Experiment::new().with_workloads(two_workloads()).with_config_fn(legacy);
-        let scenarios = experiment.scenarios();
-        let config = experiment.config_for(&scenarios[0]);
-        assert_eq!(config.cores, 3);
-        // Switching back to the serializable path replaces the function.
-        let experiment = experiment.with_patch(tiny());
-        let config = experiment.config_for(&scenarios[0]);
-        assert_eq!(config.cores, 1);
     }
 
     #[test]

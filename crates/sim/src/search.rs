@@ -12,8 +12,8 @@
 //! closest-approach pressure ratio as the deterministic tiebreak for
 //! candidates that never cross.
 //!
-//! Persistence follows the campaign engine's crash-safety idiom: one
-//! compact JSON line per generation appended to the output stream, and an
+//! Persistence is the results-stream journal campaigns use: one compact
+//! JSON line per generation appended to the output stream, and an
 //! atomically rewritten (`tmp` + rename) manifest beside it holding the
 //! population, the generation index and the best-so-far record. Because
 //! the breeding RNG derives from the seed and generation index alone,
@@ -21,12 +21,12 @@
 //! the same property `SRS_SEARCH_CRASH_AFTER` lets CI prove by killing a
 //! run mid-stream.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use srs_attack::search::Search;
 pub use srs_attack::search::{Candidate, GenerationSummary, Score, SearchConfig};
 
+use crate::journal::{load_manifest, manifest_path, save_manifest, Journal, JournalError};
 use crate::json::{obj, Json, ToJson};
 use crate::security::SecurityReport;
 use crate::spec::{attack_spec_from_json, ExperimentSpec, SearchSpec, SpecError};
@@ -70,8 +70,13 @@ impl From<SpecError> for SearchError {
     }
 }
 
-fn io_err(path: &Path, action: &'static str, error: std::io::Error) -> SearchError {
-    SearchError::Io { path: path.to_path_buf(), action, error }
+impl From<JournalError> for SearchError {
+    fn from(error: JournalError) -> Self {
+        match error {
+            JournalError::Io { path, action, error } => SearchError::Io { path, action, error },
+            JournalError::Corrupt(message) => SearchError::Manifest(message),
+        }
+    }
 }
 
 /// Extract a candidate's fitness from its run's security report.
@@ -176,11 +181,6 @@ struct SearchManifest {
 }
 
 impl SearchManifest {
-    /// The manifest path beside an output stream.
-    fn path_for(out: &Path) -> PathBuf {
-        PathBuf::from(format!("{}.manifest.json", out.display()))
-    }
-
     fn to_json(&self) -> Json {
         obj(vec![
             ("campaign", Json::from(self.campaign.as_str())),
@@ -230,28 +230,20 @@ impl SearchManifest {
     }
 
     fn save(&self, path: &Path) -> Result<(), SearchError> {
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-        let mut text = self.to_json().to_pretty();
-        text.push('\n');
-        std::fs::write(&tmp, text).map_err(|e| io_err(&tmp, "write", e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename manifest over", e))
+        Ok(save_manifest(path, &self.to_json())?)
     }
 
     fn load(path: &Path) -> Result<Self, SearchError> {
-        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, "read", e))?;
-        let json = Json::parse(&text)
-            .map_err(|e| SearchError::Manifest(format!("{}: {e}", path.display())))?;
-        Self::from_json(&json)
+        Self::from_json(&load_manifest(path)?)
             .map_err(|message| SearchError::Manifest(format!("{}: {message}", path.display())))
     }
 }
 
-/// `SRS_SEARCH_CRASH_AFTER=N` makes the stream write only the first half
-/// of the `N`-th generation record of this run, flush it, and abort the
-/// process — the CI hook proving `--resume` recovers from a torn line.
-fn crash_after_from_env() -> Option<usize> {
-    std::env::var("SRS_SEARCH_CRASH_AFTER").ok()?.trim().parse().ok()
-}
+/// `SRS_SEARCH_CRASH_AFTER=N` makes the stream commit the first `N`
+/// generation records of this run, write only the first half of record
+/// `N + 1`, flush it, and abort the process — the CI hook proving
+/// `--resume` recovers from a torn line.
+const CRASH_AFTER_VAR: &str = "SRS_SEARCH_CRASH_AFTER";
 
 /// What one [`run_search`] invocation accomplished.
 #[derive(Debug, Clone)]
@@ -378,9 +370,9 @@ pub fn run_search(
         .ok_or_else(|| SearchError::Spec(SpecError::field("search", "spec has no search block")))?;
     let config = search_spec.to_search_config();
     let threads = if threads == 0 { crate::scenario::default_threads() } else { threads };
-    let manifest_path = SearchManifest::path_for(out);
+    let manifest_path = manifest_path(out);
 
-    let (mut search, mut manifest, truncated_bytes) = if resume {
+    let (mut search, mut manifest, mut journal, truncated_bytes) = if resume {
         let manifest = SearchManifest::load(&manifest_path)?;
         if manifest.campaign != spec.name {
             return Err(SearchError::Manifest(format!(
@@ -395,26 +387,16 @@ pub fn run_search(
                     .to_string(),
             ));
         }
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(out)
-            .map_err(|e| io_err(out, "open", e))?;
-        let len = file.metadata().map_err(|e| io_err(out, "stat", e))?.len();
-        let truncated = len.saturating_sub(manifest.bytes_committed);
-        if truncated > 0 {
-            // A torn final record from a crashed run: cut back to the last
-            // committed byte before appending.
-            file.set_len(manifest.bytes_committed).map_err(|e| io_err(out, "truncate", e))?;
-        }
+        let (journal, truncated) = Journal::resume(out, manifest.bytes_committed, CRASH_AFTER_VAR)?;
         let search = Search::resume(
             config,
             manifest.generations_done,
             manifest.population.clone(),
             manifest.best.as_ref().map(|b| (b.candidate.clone(), b.score)),
         );
-        (search, manifest, truncated)
+        (search, manifest, journal, truncated)
     } else {
-        std::fs::write(out, "").map_err(|e| io_err(out, "create", e))?;
+        let journal = Journal::create(out, CRASH_AFTER_VAR)?;
         let search = Search::new(config.clone());
         let manifest = SearchManifest {
             campaign: spec.name.clone(),
@@ -426,14 +408,9 @@ pub fn run_search(
             best: None,
         };
         manifest.save(&manifest_path)?;
-        (search, manifest, 0)
+        (search, manifest, journal, 0)
     };
 
-    let mut file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(out)
-        .map_err(|e| io_err(out, "open for append", e))?;
-    let crash_after = crash_after_from_env();
     let mut generations_run = 0usize;
 
     if !search.done() && stop_after != Some(0) {
@@ -469,21 +446,9 @@ pub fn run_search(
                 });
             }
 
-            let mut line =
-                generation_record(&manifest.campaign, manifest.cell, &summary).to_compact();
-            line.push('\n');
+            let record = generation_record(&manifest.campaign, manifest.cell, &summary);
+            manifest.bytes_committed = journal.append(record.to_compact())?;
             generations_run += 1;
-            if crash_after == Some(generations_run) {
-                // Simulate dying mid-write: half a record, then abort
-                // without committing the manifest.
-                let half = &line.as_bytes()[..line.len() / 2];
-                let _ = file.write_all(half);
-                let _ = file.flush();
-                std::process::abort();
-            }
-            file.write_all(line.as_bytes()).map_err(|e| io_err(out, "append to", e))?;
-            file.flush().map_err(|e| io_err(out, "flush", e))?;
-            manifest.bytes_committed += line.len() as u64;
             manifest.generations_done = summary.index + 1;
             manifest.population = search.population().to_vec();
             manifest.save(&manifest_path)?;
@@ -564,6 +529,7 @@ pub fn replay_best(record: &Json) -> Result<ReplayOutcome, SearchError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn scratch(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("srs-search-{}-{test}", std::process::id()));
@@ -644,6 +610,28 @@ mod tests {
         let outcome = run_search(&spec, &torn, true, 2, None, &mut |_| {}).expect("resumed");
         assert!(outcome.truncated_bytes > 0, "the torn tail was detected and cut");
         assert_eq!(std::fs::read(&reference).unwrap(), std::fs::read(&torn).unwrap());
+    }
+
+    #[test]
+    fn resume_refuses_a_stream_shorter_than_its_committed_bytes() {
+        let dir = scratch("cut");
+        let spec = tiny_spec();
+        let out = dir.join("cut.jsonl");
+        run_search(&spec, &out, false, 2, Some(1), &mut |_| {}).expect("partial run");
+        // Cut into the committed record: resuming would append the next
+        // generation behind half a line.
+        let committed = std::fs::read(&out).unwrap();
+        let cut = &committed[..committed.len() / 2];
+        std::fs::write(&out, cut).unwrap();
+        let err = run_search(&spec, &out, true, 2, None, &mut |_| {})
+            .expect_err("a stream cut below bytes_committed must be refused");
+        match err {
+            SearchError::Manifest(message) => {
+                assert!(message.contains("truncated externally"), "message: {message}")
+            }
+            other => panic!("expected SearchError::Manifest, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&out).unwrap(), cut, "the stream is left as it was");
     }
 
     #[test]

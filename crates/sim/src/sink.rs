@@ -1,22 +1,25 @@
-//! Streaming consumers of experiment results.
+//! Streaming consumers of campaign results.
 //!
-//! [`crate::scenario::Experiment::run_with_sink`] pushes every grid cell's
-//! result into a [`ResultSink`] the moment its submission-order prefix
-//! completes, instead of materializing one end-of-run `Vec`. A grid of
-//! thousands of cells can therefore stream to disk ([`JsonlWriter`]), drive
-//! a live progress display ([`ProgressSink`]), or both at once
-//! ([`Fanout`]); [`MemoryCollector`] recovers the classic collect-to-`Vec`
-//! behaviour and backs [`crate::scenario::Experiment::run`].
+//! [`crate::campaign::Campaign::run`] pushes every executed cell's outcome
+//! into a [`ResultSink`] the moment its submission-order prefix completes,
+//! instead of materializing one end-of-run `Vec`. A grid of thousands of
+//! cells can therefore stream to disk through the crash-safe
+//! [`crate::campaign::CheckpointSink`], drive a live progress display
+//! ([`ProgressSink`]) and write the telemetry sidecar
+//! ([`crate::telemetry::TelemetrySidecarSink`]); `srs-cli run` feeds all
+//! three from one composite sink. [`crate::scenario::Experiment::run`] is
+//! the collect-to-`Vec` view of the same engine.
 
 use std::io::Write;
 use std::time::Instant;
 
-use crate::json::{Json, ToJson};
-use crate::scenario::{Scenario, ScenarioResult};
+use crate::campaign::{CampaignReport, CellFailure};
+use crate::json::Json;
+use crate::scenario::{Scenario, ScenarioResult, UnitStats};
 
 /// Check one emitted result record (a parsed line of a results JSONL
-/// file) against the [`ScenarioResult::to_json`] schema. Used by
-/// `srs-cli validate` and by the campaign merge step
+/// file) against the schema of [`ScenarioResult`]'s JSON encoding. Used by
+/// `srs-cli validate` and `report` and by the campaign merge step
 /// ([`crate::campaign::merge_results`]).
 pub fn validate_result_record(record: &Json) -> Result<(), String> {
     let scenario = record.get("scenario").ok_or("missing 'scenario'")?;
@@ -71,13 +74,13 @@ pub fn validate_result_record(record: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// A streaming consumer of scenario results.
+/// A streaming consumer of campaign outcomes.
 ///
-/// `on_result` is invoked exactly once per grid cell, strictly in
-/// submission order (`results[i]` before `results[i + 1]`), which makes
-/// sink output deterministic run to run. `on_scenario_start` is invoked
-/// when a worker picks the cell up — those arrive in completion-race order
-/// and are meant for progress reporting only.
+/// `on_result` and `on_cell_failed` together are invoked exactly once per
+/// executed cell, strictly in ascending cell-index order, which keeps sink
+/// output deterministic run to run. `on_scenario_start` is invoked when a
+/// worker picks a cell up; those arrive in completion-race order, never
+/// fire for skipped cells, and are meant for progress reporting only.
 pub trait ResultSink {
     /// A worker started simulating `scenario` (arrival order is
     /// nondeterministic; do not sequence on it).
@@ -85,112 +88,31 @@ pub trait ResultSink {
         let _ = scenario;
     }
 
-    /// One cell finished; called in submission order.
+    /// One cell finished; called in ascending cell-index order.
     fn on_result(&mut self, result: &ScenarioResult);
 
-    /// The whole grid of `total` cells completed.
-    fn on_finish(&mut self, total: usize) {
-        let _ = total;
-    }
-}
-
-/// Collects results into a `Vec`, preserving their submission order — the
-/// sink behind [`crate::scenario::Experiment::run`].
-#[derive(Debug, Default)]
-pub struct MemoryCollector {
-    results: Vec<ScenarioResult>,
-}
-
-impl MemoryCollector {
-    /// An empty collector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    /// One cell exhausted its retry budget; called at the cell's slot in
+    /// the same ascending order as `on_result`.
+    fn on_cell_failed(&mut self, failure: &CellFailure) {
+        let _ = failure;
     }
 
-    /// The results collected so far, in submission order.
-    #[must_use]
-    pub fn results(&self) -> &[ScenarioResult] {
-        &self.results
+    /// One execution unit finished (successfully or not), reporting its
+    /// wall-clock duration and attempt count; called once per unit in unit
+    /// submission order. Wall times are machine-dependent — treat them as
+    /// profiling data, never as results.
+    fn on_unit_stats(&mut self, stats: &UnitStats) {
+        let _ = stats;
     }
 
-    /// Consume the collector, yielding the collected results.
-    #[must_use]
-    pub fn into_results(self) -> Vec<ScenarioResult> {
-        self.results
-    }
-}
-
-impl ResultSink for MemoryCollector {
-    fn on_result(&mut self, result: &ScenarioResult) {
-        self.results.push(result.clone());
-    }
-}
-
-/// Writes one JSON object per result — JSON Lines — through the
-/// [`ToJson`] codec, so a grid streams to disk incrementally.
-///
-/// I/O errors are latched rather than panicking mid-experiment; check
-/// [`JsonlWriter::finish`] (or [`JsonlWriter::io_error`]) after the run.
-#[derive(Debug)]
-pub struct JsonlWriter<W: Write> {
-    writer: W,
-    records: usize,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> JsonlWriter<W> {
-    /// Stream records into `writer`.
-    #[must_use]
-    pub fn new(writer: W) -> Self {
-        Self { writer, records: 0, error: None }
-    }
-
-    /// Number of records successfully written.
-    #[must_use]
-    pub fn records_written(&self) -> usize {
-        self.records
-    }
-
-    /// The first I/O error the writer hit, if any.
-    #[must_use]
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Flush and return the underlying writer, or the first latched error.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> ResultSink for JsonlWriter<W> {
-    fn on_result(&mut self, result: &ScenarioResult) {
-        if self.error.is_some() {
-            return;
-        }
-        let line = result.to_json().to_compact();
-        match self.writer.write_all(line.as_bytes()).and_then(|()| self.writer.write_all(b"\n")) {
-            Ok(()) => self.records += 1,
-            Err(error) => self.error = Some(error),
-        }
-    }
-
-    fn on_finish(&mut self, _total: usize) {
-        if self.error.is_none() {
-            if let Err(error) = self.writer.flush() {
-                self.error = Some(error);
-            }
-        }
+    /// The campaign drained (successfully or degraded).
+    fn on_finish(&mut self, report: &CampaignReport) {
+        let _ = report;
     }
 }
 
 /// Live progress and ETA, one line per completed cell — point it at
-/// standard error next to a [`JsonlWriter`] on standard output or a file.
+/// standard error next to a results stream on disk.
 #[derive(Debug)]
 pub struct ProgressSink<W: Write> {
     out: W,
@@ -254,138 +176,72 @@ impl<W: Write> ResultSink for ProgressSink<W> {
         );
     }
 
-    fn on_finish(&mut self, total: usize) {
+    fn on_finish(&mut self, report: &CampaignReport) {
         let elapsed = self.begun.elapsed().as_secs_f64();
-        let _ = writeln!(self.out, "done: {total} cells in {elapsed:.1}s");
+        let _ = writeln!(self.out, "done: {} cells in {elapsed:.1}s", report.completed);
         let _ = self.out.flush();
     }
 }
 
-/// Forwards every event to each inner sink in order — e.g. a
-/// [`JsonlWriter`] on a file plus a [`ProgressSink`] on standard error.
-pub struct Fanout<'a> {
-    sinks: Vec<&'a mut dyn ResultSink>,
-}
-
-impl<'a> Fanout<'a> {
-    /// Fan events out to `sinks`.
-    #[must_use]
-    pub fn new(sinks: Vec<&'a mut dyn ResultSink>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl ResultSink for Fanout<'_> {
-    fn on_scenario_start(&mut self, scenario: &Scenario) {
-        for sink in &mut self.sinks {
-            sink.on_scenario_start(scenario);
-        }
-    }
-
-    fn on_result(&mut self, result: &ScenarioResult) {
-        for sink in &mut self.sinks {
-            sink.on_result(result);
-        }
-    }
-
-    fn on_finish(&mut self, total: usize) {
-        for sink in &mut self.sinks {
-            sink.on_finish(total);
-        }
+/// A fixed benign Scale-SRS result for grid cell `index`, for tests of
+/// the layers that store and move records.
+#[cfg(test)]
+pub(crate) fn sample_result(index: usize) -> ScenarioResult {
+    use crate::metrics::{NormalizedResult, SimResult};
+    use srs_core::DefenseKind;
+    use srs_trackers::TrackerKind;
+    let workload = srs_workloads::all_workloads().remove(0);
+    ScenarioResult {
+        scenario: Scenario {
+            index,
+            defense: DefenseKind::ScaleSrs,
+            t_rh: 1200,
+            tracker: TrackerKind::MisraGries,
+            cores: None,
+            seed: None,
+            attack: None,
+            workload,
+        },
+        result: NormalizedResult {
+            workload: "gups".to_string(),
+            defense: "scale-srs".to_string(),
+            t_rh: 1200,
+            normalized_performance: 0.5,
+            detail: SimResult {
+                workload: "gups".to_string(),
+                defense: "scale-srs".to_string(),
+                t_rh: 1200,
+                elapsed_ns: 10,
+                per_core_ipc: vec![1.0],
+                instructions: 100,
+                controller: srs_dram::ControllerStats::default(),
+                swaps: 1,
+                rows_pinned: 0,
+                pinned_hits: 0,
+                max_row_activations_in_window: 3,
+                security: None,
+                integrity: None,
+                telemetry: None,
+            },
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
-    use crate::metrics::{NormalizedResult, SimResult};
-
-    fn result(index: usize) -> ScenarioResult {
-        use srs_core::DefenseKind;
-        use srs_trackers::TrackerKind;
-        let workload = srs_workloads::all_workloads().remove(0);
-        ScenarioResult {
-            scenario: Scenario {
-                index,
-                defense: DefenseKind::ScaleSrs,
-                t_rh: 1200,
-                tracker: TrackerKind::MisraGries,
-                cores: None,
-                seed: None,
-                attack: None,
-                workload,
-            },
-            result: NormalizedResult {
-                workload: "gups".to_string(),
-                defense: "scale-srs".to_string(),
-                t_rh: 1200,
-                normalized_performance: 0.5,
-                detail: SimResult {
-                    workload: "gups".to_string(),
-                    defense: "scale-srs".to_string(),
-                    t_rh: 1200,
-                    elapsed_ns: 10,
-                    per_core_ipc: vec![1.0],
-                    instructions: 100,
-                    controller: srs_dram::ControllerStats::default(),
-                    swaps: 1,
-                    rows_pinned: 0,
-                    pinned_hits: 0,
-                    max_row_activations_in_window: 3,
-                    security: None,
-                    integrity: None,
-                    telemetry: None,
-                },
-            },
-        }
-    }
+    use crate::json::ToJson;
 
     #[test]
-    fn collector_preserves_result_order() {
-        let mut collector = MemoryCollector::new();
-        for i in 0..3 {
-            collector.on_result(&result(i));
-        }
-        collector.on_finish(3);
-        let results = collector.into_results();
-        let indices: Vec<usize> = results.iter().map(|r| r.scenario.index).collect();
-        assert_eq!(indices, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn jsonl_writer_emits_one_parseable_object_per_result() {
-        let mut writer = JsonlWriter::new(Vec::new());
-        writer.on_result(&result(0));
-        writer.on_result(&result(1));
-        writer.on_finish(2);
-        assert_eq!(writer.records_written(), 2);
-        let bytes = writer.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let record = Json::parse(line).unwrap();
-            let scenario = record.get("scenario").expect("scenario field");
-            assert_eq!(scenario.get("index").and_then(Json::as_u64), Some(i as u64));
-            assert_eq!(scenario.get("defense").and_then(Json::as_str), Some("scale-srs"));
-            assert!(record.get("result").is_some());
-        }
-    }
-
-    #[test]
-    fn progress_counts_and_fanout_forwards() {
+    fn progress_counts_cells_and_reports_the_finish() {
         let mut progress = ProgressSink::new(2, Vec::new());
-        let mut collector = MemoryCollector::new();
-        {
-            let mut fanout = Fanout::new(vec![&mut progress, &mut collector]);
-            fanout.on_scenario_start(&result(0).scenario);
-            fanout.on_result(&result(0));
-            fanout.on_result(&result(1));
-            fanout.on_finish(2);
-        }
+        progress.on_scenario_start(&sample_result(0).scenario);
+        progress.on_result(&sample_result(0));
+        progress.on_result(&sample_result(1));
+        let report =
+            CampaignReport { total_cells: 2, planned: 2, skipped: 0, completed: 2, failed: vec![] };
+        progress.on_finish(&report);
         assert_eq!(progress.finished(), 2);
-        assert_eq!(collector.results().len(), 2);
         let text = String::from_utf8(progress.out).unwrap();
         assert!(text.contains("[1/2]") && text.contains("[2/2]") && text.contains("done: 2"));
     }
@@ -396,8 +252,8 @@ mod tests {
         // the display counts 11/12 and 12/12, but the ETA is extrapolated
         // from this run's cells only (after the last one it must be 0).
         let mut progress = ProgressSink::new(2, Vec::new()).with_offset(10);
-        progress.on_result(&result(10));
-        progress.on_result(&result(11));
+        progress.on_result(&sample_result(10));
+        progress.on_result(&sample_result(11));
         assert_eq!(progress.finished(), 2);
         let text = String::from_utf8(progress.out).unwrap();
         assert!(text.contains("[11/12]") && text.contains("[12/12]"), "offset display: {text}");
@@ -407,7 +263,7 @@ mod tests {
 
     #[test]
     fn result_record_schema_rejects_broken_records() {
-        let record = result(0).to_json();
+        let record = sample_result(0).to_json();
         validate_result_record(&record).expect("real records pass the schema");
         let broken = Json::parse(r#"{"scenario": {"index": 0}}"#).unwrap();
         assert!(validate_result_record(&broken).is_err());

@@ -43,8 +43,7 @@ use crate::json::{obj, Json, JsonError, ToJson};
 use crate::scenario::Experiment;
 use crate::telemetry::TelemetryConfig;
 
-/// A named base-configuration recipe (the registry behind the old
-/// `ConfigFn` escape hatch).
+/// A named base-configuration recipe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Preset {
     /// The paper's full-size Table III configuration
@@ -82,9 +81,8 @@ impl std::fmt::Display for Preset {
     }
 }
 
-/// Typed overrides applied on top of a [`Preset`]'s base configuration —
-/// the serializable replacement for the `ConfigFn` function pointer. Every
-/// field is optional; `None` keeps the preset's value.
+/// Typed overrides applied on top of a [`Preset`]'s base configuration.
+/// Every field is optional; `None` keeps the preset's value.
 ///
 /// Axis values swept by the grid ([`crate::scenario::Scenario::cores`],
 /// [`crate::scenario::Scenario::seed`]) are applied *after* the patch, so an

@@ -2,9 +2,7 @@
 //! unit-atomic sharding must all reproduce an uninterrupted run bit for
 //! bit.
 
-use scale_srs::sim::campaign::{
-    execution_units, plan_shards, Campaign, CampaignReport, CampaignSink, CellFailure,
-};
+use scale_srs::sim::campaign::{execution_units, plan_shards, Campaign};
 use scale_srs::sim::sink::{ProgressSink, ResultSink};
 use scale_srs::sim::spec::ExperimentSpec;
 use scale_srs::sim::{RetryPolicy, Scenario, ScenarioResult, ToJson};
@@ -33,25 +31,15 @@ fn instant_retry() -> RetryPolicy {
 struct Collect {
     started: Vec<usize>,
     results: Vec<ScenarioResult>,
-    failed: Vec<CellFailure>,
-    report: Option<CampaignReport>,
 }
 
-impl CampaignSink for Collect {
+impl ResultSink for Collect {
     fn on_scenario_start(&mut self, scenario: &Scenario) {
         self.started.push(scenario.index);
     }
 
     fn on_result(&mut self, result: &ScenarioResult) {
         self.results.push(result.clone());
-    }
-
-    fn on_cell_failed(&mut self, failure: &CellFailure) {
-        self.failed.push(failure.clone());
-    }
-
-    fn on_finish(&mut self, report: &CampaignReport) {
-        self.report = Some(report.clone());
     }
 }
 
@@ -103,18 +91,8 @@ fn progress_under_resume_counts_from_the_offset_and_etas_remaining_cells() {
     let remaining = campaign.planned().len();
     assert_eq!(remaining, 2);
 
-    struct Progress(ProgressSink<Vec<u8>>);
-    impl CampaignSink for Progress {
-        fn on_result(&mut self, result: &ScenarioResult) {
-            self.0.on_result(result);
-        }
-        fn on_finish(&mut self, report: &CampaignReport) {
-            self.0.on_finish(report.completed);
-        }
-    }
-    let mut sink = Progress(ProgressSink::new(remaining, Vec::new()).with_offset(done.len()));
-    campaign.run(&mut sink);
-    let Progress(progress) = sink;
+    let mut progress = ProgressSink::new(remaining, Vec::new()).with_offset(done.len());
+    campaign.run(&mut progress);
     assert_eq!(progress.finished(), remaining);
     let text = String::from_utf8(progress.into_inner()).unwrap();
     // The display counts from the resume offset: 5/6 then 6/6, and the

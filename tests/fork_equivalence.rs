@@ -11,8 +11,8 @@ use scale_srs::attack::search::shipped_candidates;
 use scale_srs::core::DefenseKind;
 use scale_srs::sim::spec::{ConfigPatch, ExperimentSpec};
 use scale_srs::sim::{
-    execution_units, score_solo, warm_system, Experiment, Fanout, MemoryCollector, ScenarioResult,
-    System, SystemConfig, TelemetryConfig, TelemetrySidecarSink,
+    execution_units, score_solo, warm_system, Experiment, ResultSink, ScenarioResult, System,
+    SystemConfig, TelemetryConfig, TelemetrySidecarSink,
 };
 use scale_srs::trackers::TrackerKind;
 use scale_srs::workloads::{all_workloads, AccessPattern, NamedWorkload, Trace, WorkloadSpec};
@@ -236,11 +236,11 @@ fn armed_telemetry_sidecar_is_identical_shared_and_unshared() {
         .with_telemetry(TelemetryConfig { sample_interval_ns: 500, ..TelemetryConfig::armed() })
         .with_threads(2);
     let sidecar = |experiment: Experiment| -> (String, Vec<ScenarioResult>) {
+        let results = experiment.run();
         let mut telemetry = TelemetrySidecarSink::new(Vec::new());
-        let mut results = MemoryCollector::new();
-        experiment.run_with_sink(&mut Fanout::new(vec![&mut telemetry, &mut results]));
+        results.iter().for_each(|result| telemetry.on_result(result));
         let bytes = telemetry.finish().expect("in-memory sidecar");
-        (String::from_utf8(bytes).expect("sidecar is UTF-8"), results.into_results())
+        (String::from_utf8(bytes).expect("sidecar is UTF-8"), results)
     };
     let (shared, _) = sidecar(experiment.clone());
     let (unshared, results) = sidecar(experiment.with_share_prefixes(false));
