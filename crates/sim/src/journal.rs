@@ -214,6 +214,8 @@ pub fn read_results(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn scratch(test: &str) -> PathBuf {
@@ -289,5 +291,72 @@ mod tests {
             matches!(&error, CampaignError::Corrupt(m) if m.ends_with("out.jsonl:2: r must be 0")),
             "{error}"
         );
+    }
+
+    /// [`read_results`] over `path`, collecting every record it visits,
+    /// verbatim, into `seen`.
+    fn read_into(
+        path: &Path,
+        seen: &mut Vec<String>,
+    ) -> Result<(Option<Json>, Option<u64>), CampaignError> {
+        read_results(path, |text, _| {
+            seen.push(text.to_string());
+            Ok(())
+        })
+    }
+
+    proptest! {
+        /// A stream of N appended records whose manifest committed the
+        /// first N - 1 (the last stands in for the one a crash tears),
+        /// truncated at every offset: resume refuses every cut below the
+        /// committed length and, from every other cut, gives back exactly
+        /// the committed records. Arbitrary bytes past the committed
+        /// records never make the reader panic, and never hide a committed
+        /// record from it.
+        #[test]
+        fn resume_and_reader_never_lose_a_committed_record(
+            cells in prop::collection::vec(0u64..1_000_000_000, 1..6),
+            garbage in prop::collection::vec(0u8..=255, 0..48),
+        ) {
+            let path = scratch("fuzz").join("out.jsonl");
+            let records: Vec<String> = cells.iter().map(|c| format!("{{\"cell\":{c}}}")).collect();
+            let committed_records = &records[..records.len() - 1];
+            let mut journal = Journal::create(&path, NO_HOOK).unwrap();
+            let mut committed = 0;
+            for record in committed_records {
+                committed = journal.append(record.clone()).unwrap();
+            }
+            journal.append(records[records.len() - 1].clone()).unwrap();
+            drop(journal);
+            let full = std::fs::read(&path).unwrap();
+
+            for cut in 0..=full.len() {
+                std::fs::write(&path, &full[..cut]).unwrap();
+                let cut = cut as u64;
+                match Journal::resume(&path, committed, NO_HOOK) {
+                    Ok((_, trimmed)) => {
+                        prop_assert!(cut >= committed, "resumed from a cut at {cut} < {committed}");
+                        prop_assert_eq!(trimmed, cut - committed);
+                        let mut seen = Vec::new();
+                        let outcome = read_into(&path, &mut seen);
+                        prop_assert_eq!(seen.as_slice(), committed_records);
+                        prop_assert!(matches!(outcome, Ok((None, None))), "{outcome:?}");
+                    }
+                    Err(JournalError::Corrupt(_)) => {
+                        prop_assert!(cut < committed, "refused a cut at {cut} >= {committed}");
+                        prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), cut);
+                    }
+                    Err(error) => panic!("resume failed at cut {cut}: {error:?}"),
+                }
+            }
+
+            let mut bytes = full[..committed as usize].to_vec();
+            bytes.extend_from_slice(&garbage);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut seen = Vec::new();
+            let _ = read_into(&path, &mut seen);
+            prop_assert!(seen.len() >= committed_records.len(), "{seen:?}");
+            prop_assert_eq!(&seen[..committed_records.len()], committed_records);
+        }
     }
 }

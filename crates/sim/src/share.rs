@@ -19,22 +19,19 @@
 //! each distinct (trace, configuration) simulates once. Every cell's
 //! result is then labelled with its own workload name.
 //!
-//! Execution is two passes over the trunk:
-//!
-//! 1. **Discovery** — the trunk runs to completion with every branch's
-//!    (tracker, defense) attached as a passive
-//!    [`crate::system::MitigationProbe`]; each probe records the tick of
-//!    its first feedback decision. The trunk itself is the group's
-//!    undefended baseline, so this pass also produces the normalization
-//!    baseline every cell needs.
-//! 2. **Fork** — if any probe fired, the trunk is re-run (deterministic
-//!    replay) up to the last recorded divergence tick; at each branch's
-//!    tick the system is snapshotted *before* the tick executes and the
-//!    branch resumes from the snapshot with its own tracker and defense
-//!    installed — replaying that tick with the mitigation live, exactly
-//!    as its from-scratch run would have. Branches whose probe never
-//!    fired are the trunk result relabelled: their whole run provably
-//!    never differed from the trunk.
+//! Execution is one pass over the trunk. The trunk runs to completion
+//! with every branch's (tracker, defense) attached as a
+//! [`crate::system::MitigationProbe`], fed the same demand activations,
+//! window rollovers and ticks its from-scratch run would see. A probe
+//! *fires* in the first tick where one of its decisions feeds back into
+//! the simulation; it keeps deciding to the end of that tick, then leaves
+//! the trunk as a fork: a copy of the trunk's state after the tick's
+//! controller drain, with the branch's tracker and defense installed,
+//! which applies the branch's own feedback of that tick and runs on from
+//! there. The trunk itself is the group's undefended baseline, so the
+//! same pass produces the normalization baseline every cell needs.
+//! Branches whose probe never fired are the trunk result relabelled:
+//! their whole run provably never differed from the trunk.
 //!
 //! The protocol is gated end-to-end by equivalence tests
 //! (`tests/fork_equivalence.rs`): a shared grid must be bit-identical —
@@ -48,14 +45,15 @@
 //! (occupancy 0, no saturation events), and a branch that never forks
 //! would report that for its whole run.
 
-use srs_core::{build_defense, DefenseKind};
+use srs_core::DefenseKind;
 use srs_trackers::TrackerKind;
+use srs_workloads::Trace;
 
 use crate::config::SystemConfig;
 use crate::metrics::SimResult;
 use crate::runner::normalize_against;
 use crate::scenario::{Scenario, ScenarioResult};
-use crate::system::{build_tracker, MitigationProbe, NullTracker, System};
+use crate::system::{MitigationProbe, System};
 
 /// One grid cell participating in a shared-prefix group.
 #[derive(Clone)]
@@ -90,51 +88,10 @@ fn intern(configs: &mut Vec<SystemConfig>, config: SystemConfig) -> usize {
     })
 }
 
-/// Build the trunk system for a group plus probes for the requested
-/// branches; returns the system and, per branch, the probe index (`None`
-/// for branches that provably never diverge and need no probe).
-fn build_trunk(
-    trunk_config: &SystemConfig,
-    trace: &srs_workloads::Trace,
-    branch_configs: &[SystemConfig],
-    wanted: impl Fn(usize) -> bool,
-) -> (System, Vec<Option<usize>>) {
-    let mut trunk = System::new(trunk_config.clone(), trace.clone());
-    trunk.set_tracker(Box::new(NullTracker));
-    let mut probe_of = vec![None; branch_configs.len()];
-    for (b, config) in branch_configs.iter().enumerate() {
-        if !wanted(b) {
-            continue;
-        }
-        let tracker = build_tracker(config);
-        let acts_on_mitigate = config.defense != DefenseKind::Baseline;
-        if !acts_on_mitigate && !tracker.may_emit_memory_traffic() {
-            // A baseline cell with an SRAM-only tracker has no feedback
-            // channel at all: the branch equals the trunk for the whole
-            // run, so it needs no probe (and no fork).
-            continue;
-        }
-        let defense = build_defense(config.defense, config.mitigation_config());
-        probe_of[b] = Some(trunk.attach_probe(MitigationProbe {
-            tracker,
-            defense,
-            acts_on_mitigate,
-            fired_at: None,
-        }));
-    }
-    (trunk, probe_of)
-}
-
 /// Execute one shared-prefix group and return every member cell's result,
 /// keyed by its grid submission index. The members share one generated
 /// trace (the planner groups them by trace key), so the first member's
 /// workload generates it.
-///
-/// # Panics
-///
-/// Panics if the deterministic replay of pass 2 fails to revisit a
-/// divergence tick recorded by pass 1 — which would mean the trunk is not
-/// a faithful prefix of some branch, a protocol violation.
 pub(crate) fn run_shared_group(cells: &[SharedCell]) -> Vec<(usize, ScenarioResult)> {
     let cfg0 = &cells[0].config;
     let trace = cells[0].scenario.workload.spec().generate(cfg0.trace_records_per_core, cfg0.seed);
@@ -153,90 +110,132 @@ pub(crate) fn run_shared_group(cells: &[SharedCell]) -> Vec<(usize, ScenarioResu
         cell_baseline.push(intern(&mut branch_configs, baseline));
     }
 
-    let mut trunk_config = cfg0.clone();
-    trunk_config.defense = DefenseKind::Baseline;
-
-    // Pass 1: run the trunk to completion with every branch probing for
-    // its divergence tick. The trunk result doubles as the group's
-    // undefended baseline.
-    let (mut trunk, probe_of) = build_trunk(&trunk_config, &trace, &branch_configs, |_| true);
-    while !trunk.engine_done() {
-        trunk.engine_step(true);
-    }
-    let fired: Vec<Option<u64>> =
-        probe_of.iter().map(|p| p.and_then(|i| trunk.probe_fired_at(i))).collect();
-    let trunk_result = trunk.into_result();
-
-    // Pass 2: deterministic replay, forking each diverging branch from the
-    // state at the start of its recorded divergence tick.
-    let mut branch_results: Vec<Option<SimResult>> = vec![None; branch_configs.len()];
-    let mut schedule: Vec<(u64, usize)> =
-        (0..branch_configs.len()).filter_map(|b| fired[b].map(|t| (t, b))).collect();
-    schedule.sort_unstable();
-    if !schedule.is_empty() {
-        let diverging: Vec<bool> = fired.iter().map(Option::is_some).collect();
-        let (mut replay, probe_of) =
-            build_trunk(&trunk_config, &trace, &branch_configs, |b| diverging[b]);
-        let mut next = 0;
-        loop {
-            let now = replay.now_ns();
-            while next < schedule.len() && schedule[next].0 == now {
-                let b = schedule[next].1;
-                // Invariant: the schedule only records branches that were
-                // given a probe by `build_trunk`.
-                #[allow(clippy::expect_used)]
-                let probe = replay.take_probe(probe_of[b].expect("diverging branch has a probe"));
-                let fork = replay.fork_with_mitigation(
-                    branch_configs[b].clone(),
-                    probe.tracker,
-                    probe.defense,
-                );
-                branch_results[b] = Some(fork.run());
-                next += 1;
-            }
-            if next >= schedule.len() {
-                break;
-            }
-            assert!(
-                now < schedule[next].0 && !replay.engine_done(),
-                "shared-prefix replay missed a recorded divergence tick \
-                 (replay at {now}, expected {})",
-                schedule[next].0
-            );
-            replay.engine_step(true);
-        }
-    }
-
-    // Branches that never diverged are the trunk run under a different
-    // label: same trajectory, zero swaps, their own defense name and TRH
-    // (and, below, each cell's own workload name).
-    for (b, config) in branch_configs.iter().enumerate() {
-        if branch_results[b].is_none() {
-            let mut result = trunk_result.clone();
-            result.defense = config.defense.to_string();
-            result.t_rh = config.t_rh;
-            branch_results[b] = Some(result);
-        }
-    }
+    let branch_results = run_branches(trace, &branch_configs);
 
     cells
         .iter()
         .enumerate()
         .map(|(c, cell)| {
-            // Invariant: the loop above fills every never-diverged slot, so
-            // by here each branch index resolved to a result.
-            #[allow(clippy::expect_used)]
-            let mut defended =
-                branch_results[cell_branch[c]].clone().expect("every branch has a result");
+            let mut defended = branch_results[cell_branch[c]].clone();
             // A branch may serve cells of several same-trace workloads.
             defended.workload = cell.scenario.workload.name.to_string();
-            #[allow(clippy::expect_used)]
-            let baseline_ipc = branch_results[cell_baseline[c]]
-                .as_ref()
-                .expect("every baseline branch has a result")
-                .total_ipc();
+            let baseline_ipc = branch_results[cell_baseline[c]].total_ipc();
             let result = normalize_against(defended, baseline_ipc, cell.config.t_rh);
             (cell.index, ScenarioResult { scenario: cell.scenario.clone(), result })
         })
         .collect()
+}
+
+/// Simulate every configuration of `branch_configs` over `trace` in one
+/// pass of a shared trunk, returning the results in branch order. The
+/// configurations must differ only in their mitigation axes.
+fn run_branches(trace: Trace, branch_configs: &[SystemConfig]) -> Vec<SimResult> {
+    let probes = branch_configs
+        .iter()
+        .enumerate()
+        .filter_map(|(b, config)| MitigationProbe::new(b, config))
+        .collect();
+    let mut trunk = System::trunk(branch_configs[0].clone(), trace, probes);
+    // Each branch forks off at the end of its divergence tick and runs on
+    // from there. The trunk result doubles as the group's undefended
+    // baseline.
+    let mut forked: Vec<Option<SimResult>> = vec![None; branch_configs.len()];
+    while !trunk.engine_done() {
+        for (b, fork) in trunk.engine_step(true) {
+            forked[b] = Some(fork.run());
+        }
+    }
+    let trunk_result = trunk.into_result();
+
+    // Branches that never diverged are the trunk run under a different
+    // label: same trajectory, zero swaps, their own defense name and TRH.
+    forked
+        .into_iter()
+        .zip(branch_configs)
+        .map(|(result, config)| {
+            result.unwrap_or_else(|| {
+                let mut result = trunk_result.clone();
+                result.defense = config.defense.to_string();
+                result.t_rh = config.t_rh;
+                result
+            })
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use srs_workloads::{MemOp, TraceRecord};
+
+    use super::*;
+    use crate::telemetry::{EventKind, TelemetryConfig};
+
+    /// Two cores hammering one row. Under three ranks each core's private
+    /// copy of the row lands in a rank of its own, so the two copies are
+    /// activated in lockstep and reach every threshold in the same tick.
+    fn lockstep_config(defense: DefenseKind, tracker: TrackerKind) -> SystemConfig {
+        let mut config = SystemConfig::scaled_for_speed(defense, 1200);
+        config.tracker = tracker;
+        config.cores = 2;
+        config.dram.ranks_per_channel = 3;
+        config.core.target_instructions = 30_000;
+        config.dram.refresh_window_ns = 500_000;
+        config.max_sim_ns = 3_000_000;
+        config
+    }
+
+    /// The banks whose demand activations fed back in the first tick any
+    /// did, in the from-scratch run of `config`: triggers an acting defense
+    /// handles, and tracker counter-table traffic.
+    fn divergence_tick_banks(config: &SystemConfig, trace: &Trace) -> BTreeSet<u32> {
+        let mut armed = config.clone();
+        armed.telemetry = TelemetryConfig { event_capacity: 1 << 20, ..TelemetryConfig::armed() };
+        let result = System::new(armed, trace.clone()).run();
+        let report = result.telemetry.expect("an armed run carries telemetry");
+        assert_eq!(report.events_dropped, 0);
+        let acts = config.defense != DefenseKind::Baseline;
+        let feedback: Vec<_> = report
+            .events
+            .iter()
+            .filter(|e| {
+                e.kind == EventKind::CounterAccess
+                    || (acts && e.kind == EventKind::MitigationTrigger)
+            })
+            .collect();
+        let tick = feedback.first().map(|e| e.at_ns);
+        feedback.iter().filter(|e| Some(e.at_ns) == tick).map(|e| e.bank).collect()
+    }
+
+    /// Every branch here makes feedback decisions in two banks inside the
+    /// tick its probe fires — two rows crossing the swap threshold at once,
+    /// or two Hydra counter-table misses — so a fork that acted only on the
+    /// decision that fired its probe would lose the other. Each branch of
+    /// the shared pass must match its from-scratch run.
+    #[test]
+    fn branches_act_on_every_decision_of_their_divergence_tick() {
+        let hammer = TraceRecord { nonmem_insts: 0, op: MemOp::Read, addr: 0x10000 };
+        let trace = Trace::new("hammer", vec![hammer; 10_000]);
+        let configs: Vec<SystemConfig> = [
+            (DefenseKind::Rrs { immediate_unswap: true }, TrackerKind::MisraGries),
+            (DefenseKind::ScaleSrs, TrackerKind::MisraGries),
+            (DefenseKind::Baseline, TrackerKind::Hydra),
+            (DefenseKind::Rrs { immediate_unswap: true }, TrackerKind::Hydra),
+        ]
+        .into_iter()
+        .map(|(defense, tracker)| lockstep_config(defense, tracker))
+        .collect();
+        let shared = run_branches(trace.clone(), &configs);
+        for (config, shared) in configs.iter().zip(&shared) {
+            let label = format!("{} with {:?}", config.defense, config.tracker);
+            let banks = divergence_tick_banks(config, &trace);
+            assert!(
+                banks.len() >= 2,
+                "{label}: one bank fed back in the divergence tick: {banks:?}"
+            );
+            let scratch = System::new(config.clone(), trace.clone()).run();
+            assert_eq!(*shared, scratch, "{label}: the shared branch diverged from its own run");
+        }
+    }
 }

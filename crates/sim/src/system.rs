@@ -13,14 +13,15 @@ use std::time::Instant;
 
 use fxhash::FxHashSet;
 use srs_attack::engine::{AttackSpec, AttackerCore, AttackerStats};
-use srs_core::{build_defense, MitigationAction, RowOpKind, RowSwapDefense};
+use srs_core::{build_defense, DefenseKind, MitigationAction, RowOpKind, RowSwapDefense};
 use srs_cpu::{AccessToken, CoreStatus, RequestSource, TraceCore};
 use srs_dram::{
     AccessKind, AccessSink, ActivationEvent, ActivationSink, BankId, CompletedAccess, DramAddress,
     DramTiming, MaintenanceKind, MaintenanceOp, MemRequest, MemoryController, PhysAddr,
 };
 use srs_trackers::{
-    AggressorTracker, HydraConfig, HydraTracker, MisraGriesConfig, MisraGriesTracker, TrackerKind,
+    AggressorTracker, HydraConfig, HydraTracker, MisraGriesConfig, MisraGriesTracker,
+    TrackerDecision, TrackerKind,
 };
 use srs_workloads::{Trace, TraceRecord};
 
@@ -141,37 +142,63 @@ impl WindowRowCounts {
     }
 }
 
-/// A passively observed (tracker, defense) pair riding along a shared
-/// trunk simulation.
+/// The feedback a tick's demand activations queue for after the controller
+/// drain: Hydra's counter-table traffic and the defense's trigger actions.
+#[derive(Debug, Default)]
+struct TickWork {
+    counter_ops: Vec<MaintenanceOp>,
+    actions: Vec<MitigationAction>,
+}
+
+/// A branch cell's (tracker, defense) pair riding along a shared trunk
+/// simulation.
 ///
 /// The sharing-aware grid executor runs the common prefix of several grid
 /// cells once, on a trunk system whose own mitigation is inert; each
-/// branch cell's tracker and defense are attached as a probe that observes
-/// the very same activation stream, window rollovers and tick times the
-/// cell's from-scratch run would feed them. The probe *fires* at the first
-/// tick where its cell would feed anything back into the simulation — a
+/// branch cell's tracker and defense are attached as a probe that is fed
+/// the very same demand activations, window rollovers and tick times the
+/// cell's from-scratch run would feed them, through the same decision
+/// function as the system's own tracker. The probe *fires* in the first
+/// tick where one of its decisions feeds back into the simulation — a
 /// mitigation trigger of an acting defense, or tracker-generated DRAM
-/// traffic (Hydra's counter-table fills) — which is exactly the point up
-/// to which the trunk's trajectory and the cell's from-scratch trajectory
-/// are bit-identical.
+/// traffic (Hydra's counter-table fills). Up to that decision the trunk's
+/// trajectory and the cell's are bit-identical and the probe queues
+/// nothing; from it to the end of the tick the probe queues its branch's
+/// feedback, and at the end of the tick it leaves the trunk as a fork
+/// that applies that feedback itself (see [`System::engine_step`]).
 pub(crate) struct MitigationProbe {
-    pub(crate) tracker: Box<dyn AggressorTracker + Send>,
-    pub(crate) defense: Box<dyn RowSwapDefense + Send>,
-    /// Whether a `mitigate` decision feeds back into the simulation (false
-    /// for the baseline defense, whose trigger handler does nothing).
-    pub(crate) acts_on_mitigate: bool,
-    /// The tick time during which the first feedback decision occurred.
-    pub(crate) fired_at: Option<u64>,
+    /// The branch's index in the executor's branch set, handed back with
+    /// its fork.
+    branch: usize,
+    /// The branch cell's configuration, installed on its fork.
+    config: SystemConfig,
+    tracker: Box<dyn AggressorTracker + Send>,
+    defense: Box<dyn RowSwapDefense + Send>,
+    /// Whether a decision of the current tick fed back.
+    fired: bool,
+    /// The feedback the branch's decisions queued in the current tick
+    /// (empty until the probe fires).
+    work: TickWork,
 }
 
-impl Clone for MitigationProbe {
-    fn clone(&self) -> Self {
-        Self {
-            tracker: self.tracker.clone_box(),
-            defense: self.defense.clone_box(),
-            acts_on_mitigate: self.acts_on_mitigate,
-            fired_at: self.fired_at,
+impl MitigationProbe {
+    /// A probe for branch `branch` under `config`, or `None` when the
+    /// branch has no feedback channel at all: a baseline cell with an
+    /// SRAM-only tracker equals the trunk for the whole run, so it needs
+    /// no probe (and no fork).
+    pub(crate) fn new(branch: usize, config: &SystemConfig) -> Option<Self> {
+        let tracker = build_tracker(config);
+        if config.defense == DefenseKind::Baseline && !tracker.may_emit_memory_traffic() {
+            return None;
         }
+        Some(Self {
+            branch,
+            defense: build_defense(config.defense, config.mitigation_config()),
+            config: config.clone(),
+            tracker,
+            fired: false,
+            work: TickWork::default(),
+        })
     }
 }
 
@@ -224,9 +251,9 @@ pub struct System {
     /// Whether the previous tick scheduled a demand request (the only way
     /// controller queue space appears); gates the deferred-retry pass.
     freed_queue_slot: bool,
-    /// Branch probes of the sharing-aware executor (`None` once taken for a
-    /// fork); empty on every normally-constructed system.
-    probes: Vec<Option<MitigationProbe>>,
+    /// Branch probes of the sharing-aware executor, each until the end of
+    /// the tick it fires in; empty on every normally-constructed system.
+    probes: Vec<MitigationProbe>,
     /// Per-subsystem wall-time ledger; disarmed (and therefore never
     /// reading the clock) except under [`System::run_attributed`].
     timers: SubsystemTimers,
@@ -269,7 +296,8 @@ impl Clone for System {
             pinned_hits: self.pinned_hits,
             now: self.now,
             freed_queue_slot: self.freed_queue_slot,
-            probes: self.probes.clone(),
+            // Branch probes stay with the trunk: a copy is a branch.
+            probes: Vec::new(),
             timers: self.timers.clone(),
             telemetry: self.telemetry.clone(),
             faults: self.faults.clone(),
@@ -283,8 +311,8 @@ impl Clone for System {
 /// from the completion stream, and queues the mitigation work the tick
 /// produced (applied by the caller once the controller borrow ends).
 struct TickObserver<'a> {
-    tracker: &'a mut (dyn AggressorTracker + Send),
-    defense: &'a mut (dyn RowSwapDefense + Send),
+    tracker: &'a mut Box<dyn AggressorTracker + Send>,
+    defense: &'a mut Box<dyn RowSwapDefense + Send>,
     cores: &'a mut [TraceCore],
     /// The reactive attacker cores the feedback fan-out targets; request
     /// origins index victims first, then attackers.
@@ -292,13 +320,13 @@ struct TickObserver<'a> {
     security: Option<&'a mut SecurityTracker>,
     pending_reads: &'a mut usize,
     bank_activations: &'a mut [WindowRowCounts],
-    /// Passive branch probes of the sharing-aware executor (empty outside
-    /// shared trunk runs).
-    probes: &'a mut [Option<MitigationProbe>],
+    /// Branch probes of the sharing-aware executor (empty outside shared
+    /// trunk runs).
+    probes: &'a mut [MitigationProbe],
     timing: DramTiming,
     now: u64,
-    actions: Vec<MitigationAction>,
-    counter_ops: Vec<MaintenanceOp>,
+    /// The feedback the system's own tracker and defense queued.
+    work: TickWork,
     /// Wall-time ledger (disarmed outside attribution runs); the batch path
     /// laps its two phases into the security and tracker buckets.
     timers: &'a mut SubsystemTimers,
@@ -341,31 +369,45 @@ impl TickObserver<'_> {
     }
 
     /// Aggressor accounting for one demand activation: the per-row window
-    /// count, the branch probes, the tracker update and any mitigation it
-    /// triggers. Callers filter out maintenance activations first —
+    /// count, then the decisions of the branch probes and of the system's
+    /// own tracker. Callers filter out maintenance activations first —
     /// mitigation-issued activations are charged by the attack models and
     /// statistics, not by the aggressor tracker (matching the hardware,
     /// where the mitigation's own row movements do not feed back into its
     /// tracker).
     fn track_demand(&mut self, event: &ActivationEvent) {
+        self.bank_activations[event.bank.index()].increment(event.logical_row);
+        // Branch probes see the identical demand-activation stream a
+        // from-scratch run of their cell would feed its tracker. The first
+        // decision that feeds back marks the divergence tick; the probe
+        // keeps deciding to the end of that tick, as its cell would.
+        for index in 0..self.probes.len() {
+            let decision = self.decide(Some(index), event);
+            let probe = &mut self.probes[index];
+            probe.fired |= decision.extra_memory_accesses > 0
+                || (decision.mitigate && probe.config.defense != DefenseKind::Baseline);
+        }
+        self.decide(None, event);
+    }
+
+    /// Feed one demand activation to a tracker — the system's own
+    /// (`probe: None`) or branch probe `probe`'s — and queue the feedback
+    /// its decision produces for after the drain: Hydra's counter-table
+    /// traffic and the defense's trigger actions. This is the one decision
+    /// function every tracker goes through, so a probe handles its
+    /// divergence tick exactly as its cell's from-scratch run would. A
+    /// probe records into the trunk's telemetry and timers, which a shared
+    /// trunk never arms.
+    fn decide(&mut self, probe: Option<usize>, event: &ActivationEvent) -> TrackerDecision {
+        let (tracker, defense, work) = match probe {
+            None => (&mut *self.tracker, &mut *self.defense, &mut self.work),
+            Some(index) => {
+                let probe = &mut self.probes[index];
+                (&mut probe.tracker, &mut probe.defense, &mut probe.work)
+            }
+        };
         let bank = event.bank.index();
         let logical_row = event.logical_row;
-        self.bank_activations[bank].increment(logical_row);
-
-        // Branch probes observe the identical demand-activation stream a
-        // from-scratch run of their cell would feed its tracker; the first
-        // decision that would feed back into the simulation marks the
-        // divergence tick and freezes the probe.
-        for slot in self.probes.iter_mut() {
-            let Some(probe) = slot else { continue };
-            if probe.fired_at.is_some() {
-                continue;
-            }
-            let decision = probe.tracker.record_activation(bank, logical_row);
-            if decision.extra_memory_accesses > 0 || (decision.mitigate && probe.acts_on_mitigate) {
-                probe.fired_at = Some(self.now);
-            }
-        }
 
         // Saturation accounting brackets the two points that can saturate —
         // the tracker update and the defense's mitigation handler. Armed
@@ -375,17 +417,17 @@ impl TickObserver<'_> {
         // stream stays bit-identical between engines, which visit the same
         // activation at the same tick).
         let saturation_before = if self.telemetry.armed() {
-            self.tracker.saturation_events() + self.defense.saturation_events()
+            tracker.saturation_events() + defense.saturation_events()
         } else {
             0
         };
 
-        let decision = self.tracker.record_activation(bank, logical_row);
+        let decision = tracker.record_activation(bank, logical_row);
         if decision.extra_memory_accesses > 0 {
             // Hydra's memory-resident counter table traffic.
             let duration_ns =
                 decision.extra_memory_accesses * (self.timing.t_rc + self.timing.t_cas);
-            self.counter_ops.push(MaintenanceOp::new(
+            work.counter_ops.push(MaintenanceOp::new(
                 event.bank,
                 duration_ns,
                 Vec::new(),
@@ -405,12 +447,11 @@ impl TickObserver<'_> {
                 logical_row,
             );
             let stamp = self.timers.stamp();
-            self.actions.extend(self.defense.on_mitigation_trigger(bank, logical_row, self.now));
+            work.actions.extend(defense.on_mitigation_trigger(bank, logical_row, self.now));
             SubsystemTimers::lap(stamp, &mut self.timers.defense_trigger_ns);
         }
         if self.telemetry.armed() {
-            let saturation_after =
-                self.tracker.saturation_events() + self.defense.saturation_events();
+            let saturation_after = tracker.saturation_events() + defense.saturation_events();
             if saturation_after > saturation_before {
                 self.telemetry.record_saturation(
                     self.now,
@@ -419,6 +460,7 @@ impl TickObserver<'_> {
                 );
             }
         }
+        decision
     }
 }
 
@@ -511,7 +553,7 @@ fn complete_source_read(
 /// mitigation must never observe, fire, or generate traffic — every branch
 /// cell's real tracker rides along as a [`MitigationProbe`] instead.
 #[derive(Debug, Clone)]
-pub(crate) struct NullTracker;
+struct NullTracker;
 
 impl AggressorTracker for NullTracker {
     fn record_activation(&mut self, _bank: usize, _row: u64) -> srs_trackers::TrackerDecision {
@@ -541,7 +583,7 @@ impl AggressorTracker for NullTracker {
     }
 }
 
-pub(crate) fn build_tracker(config: &SystemConfig) -> Box<dyn AggressorTracker + Send> {
+fn build_tracker(config: &SystemConfig) -> Box<dyn AggressorTracker + Send> {
     let mitigation = config.mitigation_config();
     let ts = mitigation.swap_threshold();
     match config.tracker {
@@ -645,6 +687,21 @@ impl System {
             sim_errors: Vec::new(),
             config,
         }
+    }
+
+    /// A shared trunk over `trace`: `config`'s system with its own
+    /// mitigation inert — the baseline defense and a [`NullTracker`] — and
+    /// every branch riding along as one of `probes`.
+    pub(crate) fn trunk(
+        mut config: SystemConfig,
+        trace: Trace,
+        probes: Vec<MitigationProbe>,
+    ) -> Self {
+        config.defense = DefenseKind::Baseline;
+        let mut trunk = Self::new(config, trace);
+        trunk.tracker = Box::new(NullTracker);
+        trunk.probes = probes;
+        trunk
     }
 
     /// The configuration of this system.
@@ -820,13 +877,10 @@ impl System {
             // swapped, so its window work produces no actions — were it to
             // produce any, the trunk and the cell would already have
             // diverged, which the probe protocol rules out.
-            for slot in &mut self.probes {
-                let Some(probe) = slot else { continue };
-                if probe.fired_at.is_none() {
-                    probe.tracker.reset_epoch();
-                    let actions = probe.defense.on_new_window(boundary);
-                    debug_assert!(actions.is_empty(), "pre-divergence window work acted");
-                }
+            for probe in &mut self.probes {
+                probe.tracker.reset_epoch();
+                let actions = probe.defense.on_new_window(boundary);
+                debug_assert!(actions.is_empty(), "pre-divergence window work acted");
             }
             self.pinned_rows.clear();
             for shard in &mut self.bank_activations {
@@ -862,18 +916,20 @@ impl System {
             && self.controller.is_idle()
     }
 
-    /// One simulation tick at time `now`: window rollover, deferred
-    /// retries, core issue, controller advancement (activations streaming
-    /// into the tracker/defense, completions into the cores) and lazy
-    /// defense work. Identical under both engines — they differ only in
-    /// which times they visit.
+    /// A simulation tick at time `now` up to the end of the controller
+    /// drain: window rollover, deferred retries, core issue and controller
+    /// advancement (activations streaming into the tracker/defense,
+    /// completions into the cores). Returns the feedback the drain's
+    /// demand activations queued, which [`System::finish_tick`] applies.
+    /// Identical under both engines — they differ only in which times they
+    /// visit.
     ///
     /// `retry_deferred` runs only when the previous tick scheduled a demand
     /// request: queue space appears no other way, so without one the retry
     /// pass would be a full pop/push rotation that provably leaves the
     /// deferred queue bit-identical — skipping it changes nothing but the
     /// wall clock (congested runs carry hundreds of deferred accesses).
-    fn step_at(&mut self, now: u64, retry_deferred: bool) {
+    fn step_at(&mut self, now: u64, retry_deferred: bool) -> TickWork {
         self.handle_window_rollover(now);
         // Scrub deadlines elapse before any of this tick's accesses
         // complete, in both engines (the event engine visits every scrub
@@ -941,8 +997,8 @@ impl System {
         // a plain `Option<Instant>`, so it survives the borrow).
         let controller_stamp = self.timers.stamp();
         let mut observer = TickObserver {
-            tracker: self.tracker.as_mut(),
-            defense: self.defense.as_mut(),
+            tracker: &mut self.tracker,
+            defense: &mut self.defense,
             cores: &mut self.cores,
             attackers: &mut self.attackers,
             security: self.security.as_mut(),
@@ -951,15 +1007,24 @@ impl System {
             probes: &mut self.probes,
             timing: self.config.dram.timing,
             now,
-            actions: Vec::new(),
-            counter_ops: Vec::new(),
+            work: TickWork::default(),
             timers: &mut self.timers,
             telemetry: &mut self.telemetry,
             faults: self.faults.as_mut(),
         };
         self.controller.tick_into(now, &mut observer);
-        let TickObserver { actions, counter_ops, .. } = observer;
+        let work = observer.work;
         SubsystemTimers::lap(controller_stamp, &mut self.timers.controller_raw_ns);
+        work
+    }
+
+    /// The rest of the tick at `now` after the controller drain, in order:
+    /// commit staged bit flips, apply the drain's queued feedback `work`,
+    /// run lazy defense work, record telemetry, and advance the clock — to
+    /// the next grid-aligned event under the event-driven engine, or by one
+    /// step under the fixed-step oracle. `demand_before` is the demand
+    /// count scheduled before the tick.
+    fn finish_tick(&mut self, now: u64, work: TickWork, demand_before: u64, event_driven: bool) {
         // Commit the flips this tick's disturbances staged, resolving each
         // victim's *current occupant* through the defense — a swapped-in row
         // carries the damage with it. This runs after the whole controller
@@ -978,11 +1043,11 @@ impl System {
                 }
             }
         }
-        for op in counter_ops {
+        for op in work.counter_ops {
             let _ = self.controller.enqueue_maintenance(op);
         }
-        if !actions.is_empty() {
-            self.apply_actions(actions);
+        if !work.actions.is_empty() {
+            self.apply_actions(work.actions);
         }
 
         // Lazy defense work (SRS place-back).
@@ -995,13 +1060,18 @@ impl System {
         // Probe defenses receive the identical tick cadence (SRS reschedules
         // its place-back deadline relative to the tick clock even while its
         // queue is empty); pre-divergence they never emit work.
-        for slot in &mut self.probes {
-            let Some(probe) = slot else { continue };
-            if probe.fired_at.is_none() {
-                let actions = probe.defense.on_tick(now);
-                debug_assert!(actions.is_empty(), "pre-divergence tick work acted");
-            }
+        for probe in &mut self.probes {
+            let actions = probe.defense.on_tick(now);
+            debug_assert!(actions.is_empty(), "pre-divergence tick work acted");
         }
+        self.telemetry_tick();
+        let scheduled = self.controller.stats().reads + self.controller.stats().writes;
+        self.freed_queue_slot = scheduled != demand_before;
+        self.now = if event_driven {
+            self.next_event_time(now, self.freed_queue_slot)
+        } else {
+            now + STEP_NS
+        };
     }
 
     /// The next grid-aligned time the event-driven engine must visit after
@@ -1189,18 +1259,37 @@ impl System {
     /// Execute exactly one engine iteration: the tick at `self.now`, then
     /// advance the clock — to the next grid-aligned event under the
     /// event-driven engine, or by one step under the fixed-step oracle.
-    pub(crate) fn engine_step(&mut self, event_driven: bool) {
+    ///
+    /// On a shared trunk, every probe that fired during the tick leaves it
+    /// here, handed back with its branch index as a fork: a copy of the
+    /// trunk's post-drain state with the branch's configuration, tracker
+    /// and defense installed, which finishes the tick with the branch's own
+    /// feedback. That is the state the branch's from-scratch run reaches at
+    /// the same point, because nothing in a controller drain reads the
+    /// tracker or the defense (remapping happens at enqueue, and mitigation
+    /// feeds back only through the work queued for after the drain), and
+    /// because the trunk's own post-drain work is inert. A system without
+    /// probes returns no forks.
+    pub(crate) fn engine_step(&mut self, event_driven: bool) -> Vec<(usize, System)> {
         let demand_before = self.controller.stats().reads + self.controller.stats().writes;
-        let (now, retry) = (self.now, self.freed_queue_slot);
-        self.step_at(now, retry);
-        self.telemetry_tick();
-        let scheduled = self.controller.stats().reads + self.controller.stats().writes;
-        self.freed_queue_slot = scheduled != demand_before;
-        self.now = if event_driven {
-            self.next_event_time(self.now, self.freed_queue_slot)
-        } else {
-            self.now + STEP_NS
-        };
+        let now = self.now;
+        let work = self.step_at(now, self.freed_queue_slot);
+        let mut forks = Vec::new();
+        // Checked every tick, so the common case is one scan of the flags.
+        if self.probes.iter().any(|probe| probe.fired) {
+            let fired: Vec<MitigationProbe> =
+                self.probes.extract_if(.., |probe| probe.fired).collect();
+            for probe in fired {
+                let mut fork = self.clone();
+                fork.config = probe.config;
+                fork.tracker = probe.tracker;
+                fork.defense = probe.defense;
+                fork.finish_tick(now, probe.work, demand_before, event_driven);
+                forks.push((probe.branch, fork));
+            }
+        }
+        self.finish_tick(now, work, demand_before, event_driven);
+        forks
     }
 
     /// Telemetry work after the tick at `self.now`: latch TRH crossings
@@ -1243,8 +1332,8 @@ impl System {
     /// Snapshot this simulation: a deep, independent copy of every piece of
     /// mutable state — cores, controller queues, tracker tables, the
     /// defense's RIT/counters/RNG, security accounting and the engine
-    /// clock. Running the fork and the original produces bit-identical
-    /// results.
+    /// clock (but not a shared trunk's branch probes). Running the fork and
+    /// the original produces bit-identical results.
     #[must_use]
     pub fn fork(&self) -> System {
         self.clone()
@@ -1259,10 +1348,8 @@ impl System {
     /// swap threshold — the paper's Kerckhoffs assumption), so a fork that
     /// receives an attack at time `t` behaves identically to a from-scratch
     /// attacked run whose security accounting starts at `t`. Any previous
-    /// attack state is replaced; branch probes are dropped (a candidate
-    /// fork is never a sharing trunk).
+    /// attack state is replaced.
     pub fn install_attack(&mut self, attack: AttackSpec) {
-        self.probes.clear();
         let t_s = self.config.mitigation_config().swap_threshold();
         self.attackers.clear();
         for stream in 0..attack.attacker_cores.max(1) {
@@ -1306,55 +1393,6 @@ impl System {
             fork.install_attack(spec);
             fork.run()
         })
-    }
-
-    /// Replace the mitigation pair (and the cell configuration labelling
-    /// results) on this system — the second half of the sharing-aware
-    /// fork: the memory-system state comes from the trunk snapshot, the
-    /// tracker/defense state from the branch's probe.
-    ///
-    /// The caller guarantees `config` agrees with the trunk's configuration
-    /// on everything that shaped the shared prefix (geometry, cores, seed,
-    /// workload scale); only the mitigation axes (defense, `t_rh`, tracker,
-    /// swap rate) may differ.
-    pub(crate) fn fork_with_mitigation(
-        &self,
-        config: SystemConfig,
-        tracker: Box<dyn AggressorTracker + Send>,
-        defense: Box<dyn RowSwapDefense + Send>,
-    ) -> System {
-        let mut forked = self.clone();
-        forked.probes.clear();
-        forked.config = config;
-        forked.tracker = tracker;
-        forked.defense = defense;
-        forked
-    }
-
-    /// Swap the tracker out (trunk construction installs the inert
-    /// [`NullTracker`] so the trunk's own mitigation never fires).
-    pub(crate) fn set_tracker(&mut self, tracker: Box<dyn AggressorTracker + Send>) {
-        self.tracker = tracker;
-    }
-
-    /// Attach a branch probe; returns its index.
-    pub(crate) fn attach_probe(&mut self, probe: MitigationProbe) -> usize {
-        self.probes.push(Some(probe));
-        self.probes.len() - 1
-    }
-
-    /// The tick during which probe `index` first fired, if it has.
-    pub(crate) fn probe_fired_at(&self, index: usize) -> Option<u64> {
-        self.probes[index].as_ref().and_then(|p| p.fired_at)
-    }
-
-    /// Detach probe `index`, yielding its tracker/defense state as of the
-    /// start of the current tick.
-    pub(crate) fn take_probe(&mut self, index: usize) -> MitigationProbe {
-        // Invariant: the sharing executor takes each probe exactly once,
-        // immediately after attaching it to the trunk it forked.
-        #[allow(clippy::expect_used)]
-        self.probes[index].take().expect("probe already taken")
     }
 
     /// Fold the finished run into its [`SimResult`].

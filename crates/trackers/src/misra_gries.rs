@@ -78,11 +78,6 @@ struct BankTable {
     /// Live slots.
     len: usize,
     spillover: u64,
-    /// Monotonic count of spillover increments: every activation the full
-    /// table could not attribute to a dedicated slot. Unlike `spillover`
-    /// itself this survives epoch resets — it is the bank's saturation
-    /// counter, not part of any frequency estimate.
-    saturations: u64,
     capacity: usize,
     /// A lower bound on the smallest counter in the table. Counters only
     /// grow, so the bound can run stale-low (costing a scan that finds
@@ -114,7 +109,6 @@ impl BankTable {
             index_bits: slots.trailing_zeros(),
             len: 0,
             spillover: 0,
-            saturations: 0,
             capacity,
             min_bound: 0,
             scan_from: 0,
@@ -198,8 +192,10 @@ impl BankTable {
         self.index_slots[hole] = 0;
     }
 
-    /// Returns the row's new estimated count.
-    fn observe(&mut self, row: u64) -> u64 {
+    /// Returns the row's new estimated count, counting an activation the
+    /// full table could not attribute to a dedicated slot in
+    /// `saturations`.
+    fn observe(&mut self, row: u64, saturations: &mut u64) -> u64 {
         if let Some(slot) = self.slot_of(row) {
             self.counts[slot] += 1;
             return self.counts[slot];
@@ -241,7 +237,7 @@ impl BankTable {
             self.min_bound = scan::min_value(&self.counts[..self.len]).unwrap_or(u64::MAX);
         }
         self.spillover += 1;
-        self.saturations += 1;
+        *saturations += 1;
         self.spillover
     }
 
@@ -302,6 +298,11 @@ impl BankTable {
 pub struct MisraGriesTracker {
     config: MisraGriesConfig,
     banks: Vec<BankTable>,
+    /// Monotonic count of spillover increments over all banks: every
+    /// activation a full table could not attribute to a dedicated slot.
+    /// Unlike the spillover counters themselves this survives epoch resets
+    /// — it is the saturation counter, not part of any frequency estimate.
+    saturations: u64,
 }
 
 impl MisraGriesTracker {
@@ -309,7 +310,7 @@ impl MisraGriesTracker {
     #[must_use]
     pub fn new(config: MisraGriesConfig) -> Self {
         let banks = (0..config.banks).map(|_| BankTable::new(config.entries_per_bank)).collect();
-        Self { config, banks }
+        Self { config, banks, saturations: 0 }
     }
 
     /// The tracker configuration.
@@ -335,7 +336,7 @@ impl AggressorTracker for MisraGriesTracker {
         // integer division entirely.
         let bank = if bank < self.banks.len() { bank } else { bank % self.banks.len() };
         let table = &mut self.banks[bank];
-        let count = table.observe(row);
+        let count = table.observe(row, &mut self.saturations);
         if count >= self.config.swap_threshold {
             table.reset_row(row);
             TrackerDecision::mitigate_now()
@@ -380,7 +381,7 @@ impl AggressorTracker for MisraGriesTracker {
     }
 
     fn saturation_events(&self) -> u64 {
-        self.banks.iter().map(|b| b.saturations).sum()
+        self.saturations
     }
 }
 
@@ -490,8 +491,9 @@ mod tests {
         // evicted row must become unfindable, every inserted row findable,
         // exercising backward-shift deletion across wrapped probe chains.
         let mut b = BankTable::new(8);
+        let mut saturations = 0;
         for i in 0..2_000u64 {
-            b.observe(i * 131);
+            b.observe(i * 131, &mut saturations);
             assert!(b.len <= 8);
         }
         // Every slot's row must be findable through the index and point back
