@@ -7,13 +7,11 @@
 //! and any of the `R` rows of the bank can be the lucky one, so the success
 //! probability of a window is roughly `R` times the single-row probability.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::AttackParams;
 use crate::prob::binomial_sf;
 
 /// Outcome of the untargeted attack analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BirthdayOutcome {
     /// Random rows the attacker can hammer per refresh window.
     pub guesses_per_window: u64,

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The spatial/temporal shape of an adversarial access schedule.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// indices. Both are reduced into the target geometry's range at compile
 /// time, so a pattern written for a large device still runs on a scaled
 /// test configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttackPattern {
     /// Classic single-sided hammering of one aggressor row (a far dummy row
     /// in the same bank is alternated in to defeat an open-page policy).
@@ -97,7 +96,7 @@ impl AttackPattern {
 
 /// One run of an attack: the pattern plus the knobs the simulator needs to
 /// instantiate attacker cores for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackSpec {
     /// Name used on the experiment grid's attack axis and in reports.
     pub name: String,

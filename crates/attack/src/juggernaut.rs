@@ -13,8 +13,6 @@
 //! robust: the attacker is pushed back to needing `swap_rate - 2` correct
 //! guesses instead of 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::AttackParams;
 use crate::prob::binomial_sf;
 
@@ -23,7 +21,7 @@ pub const SECONDS_PER_DAY: f64 = 86_400.0;
 
 /// The outcome of evaluating the analytical model at one number of attack
 /// rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JuggernautOutcome {
     /// Number of unswap-swap rounds `N` used to bias the aggressor row.
     pub attack_rounds: u64,

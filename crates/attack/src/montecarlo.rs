@@ -10,14 +10,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::juggernaut::{evaluate, JuggernautOutcome};
 use crate::params::AttackParams;
 use crate::prob::poisson_sample;
 
 /// Result of a Monte-Carlo estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloResult {
     /// Number of simulated refresh windows.
     pub windows_simulated: u64,

@@ -8,13 +8,11 @@
 //! (the paper quotes 4 hours going to 9.9 years when all 16 banks of a
 //! channel are targeted).
 
-use serde::{Deserialize, Serialize};
-
 use crate::juggernaut::{best_attack, JuggernautOutcome, SECONDS_PER_DAY};
 use crate::params::AttackParams;
 
 /// Result of the multi-bank analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiBankOutcome {
     /// Number of banks attacked simultaneously.
     pub banks: u64,

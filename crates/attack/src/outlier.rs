@@ -9,13 +9,11 @@
 //! `M` locations with `k` or more swaps are exceedingly rare — rare enough
 //! that pinning those few rows in the LLC is cheap.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::AttackParams;
 use crate::prob::{binomial_sf, poisson_pmf};
 
 /// Outcome of the outlier analysis for one swap rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutlierOutcome {
     /// Swap threshold `TS` implied by the swap rate.
     pub t_s: u64,

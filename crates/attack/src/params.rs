@@ -1,6 +1,5 @@
 //! Parameters of the attack analyses (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
 use srs_dram::DramConfig;
 
 /// The memory controller's row-buffer policy as seen by the attacker.
@@ -8,7 +7,7 @@ use srs_dram::DramConfig;
 /// The paper assumes a closed-page policy (Section III-B); the Discussion
 /// section studies how an open-page policy blunts Juggernaut by making every
 /// attacker activation more expensive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttackPagePolicy {
     /// Closed-page: every access to the target row costs one `tRC`.
     #[default]
@@ -19,7 +18,7 @@ pub enum AttackPagePolicy {
 }
 
 /// Parameters used by the analytical and Monte-Carlo attack models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackParams {
     /// Row Hammer threshold `TRH`.
     pub t_rh: u64,

@@ -17,7 +17,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{AttackPattern, AttackSpec};
 
@@ -33,7 +32,7 @@ const GENES: usize = 5;
 const FRESH_GENE_SPAN: u64 = 8192;
 
 /// Tuning knobs of one search campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     /// Candidates evaluated per generation.
     pub population: usize,
@@ -69,7 +68,7 @@ impl SearchConfig {
 /// One point of the search space: a pattern plus the attacker seed it
 /// runs under (the seed is itself a gene — Blacksmith shapes and guess
 /// phases depend on it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Stable name for reports (`g<gen>c<slot>` for bred candidates,
     /// library names for the seeded generation 0).
@@ -97,7 +96,7 @@ impl Candidate {
 /// candidates rank by closest-approach pressure ratio (`max_pressure /
 /// t_rh`, compared exactly by cross-multiplication), with the simulated
 /// time of that maximum as the tiebreak (earlier is stronger).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Score {
     /// Simulated time of the first TRH crossing, if any.
     pub first_crossing_ns: Option<u64>,

@@ -1,10 +1,8 @@
 //! A generic set-associative write-back cache with LRU replacement and
 //! support for pinned lines.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -41,7 +39,7 @@ impl CacheConfig {
 }
 
 /// The result of one cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessOutcome {
     /// Whether the line was already resident.
     pub hit: bool,
@@ -53,7 +51,7 @@ pub struct AccessOutcome {
 }
 
 /// Hit/miss statistics for one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Number of accesses that hit.
     pub hits: u64,
@@ -81,7 +79,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -96,7 +94,7 @@ struct Line {
 /// released through [`SetAssociativeCache::pin_line`] and
 /// [`SetAssociativeCache::unpin_all`], which is how the Scale-SRS pin-buffer
 /// reserves LLC space for outlier DRAM rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssociativeCache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,

@@ -1,13 +1,11 @@
 //! A three-level cache hierarchy: per-core L1 and L2 filters plus a shared
 //! LLC with the Scale-SRS pin-buffer in front of it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{CacheConfig, CacheStats, SetAssociativeCache};
 use crate::pin::{PinBuffer, PinBufferConfig};
 
 /// Configuration of the whole hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// Number of cores (each gets a private L1 and L2).
     pub cores: usize,
@@ -43,7 +41,7 @@ impl Default for HierarchyConfig {
 }
 
 /// A memory-side access the hierarchy needs the DRAM system to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemorySideAccess {
     /// Line-aligned physical address.
     pub addr: u64,

@@ -9,10 +9,8 @@
 //! row for a 16-way, 64 B-line LLC). All LLC look-ups flow through the
 //! pin-buffer.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the pin-buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinBufferConfig {
     /// Maximum number of DRAM rows that can be pinned simultaneously.
     ///
@@ -57,7 +55,7 @@ impl PinBufferConfig {
 }
 
 /// A pin-buffer tracking which DRAM rows are currently pinned in the LLC.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PinBuffer {
     config: PinBufferConfig,
     rows: Vec<u64>,

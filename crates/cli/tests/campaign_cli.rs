@@ -221,6 +221,21 @@ fn validate_reports_a_torn_final_record_as_a_warning_not_an_error() {
 }
 
 #[test]
+fn validate_rejects_a_shard_whose_cell_range_reaches_past_the_grid() {
+    let (dir, _) = scratch("validate-range");
+    // 2^62 cells: the range is refused before a cell list is sized from it.
+    let shard = format!(
+        r#"{{"campaign": "campaign_tiny", "shard_index": 0, "shard_count": 1,
+            "total_cells": 6, "cells": [[0, 4611686018427387904]], "spec": {TINY_SPEC}}}"#
+    );
+    std::fs::write(dir.join("huge.shard0.json"), shard).unwrap();
+    let output = cli(&dir).args(["validate", "huge.shard0.json"]).output().unwrap();
+    assert_eq!(output.status.code(), Some(1), "a corrupt shard is a failure, not a crash");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cells"), "the diagnostic names the field: {stderr}");
+}
+
+#[test]
 fn collisions_are_refused_without_force_and_threads_zero_means_auto() {
     let (dir, spec) = scratch("collide");
     run_ok(cli(&dir).args(["run", spec.to_str().unwrap(), "--quiet", "--threads", "0"]));

@@ -1,9 +1,7 @@
 //! Actions a defense asks the memory system to perform.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of row-movement operation, mirroring the paper's terminology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowOpKind {
     /// An initial swap of two rows (RRS, SRS, Scale-SRS).
     Swap,
@@ -34,7 +32,7 @@ impl std::fmt::Display for RowOpKind {
 }
 
 /// One action requested by a defense.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MitigationAction {
     /// Occupy `bank` for `duration_ns` performing a row movement, activating
     /// the listed physical rows (the *latent activations* of the paper).

@@ -1,10 +1,9 @@
 //! Configuration shared by all row-swap defenses.
 
-use serde::{Deserialize, Serialize};
 use srs_dram::DramConfig;
 
 /// Configuration of a row-swap defense instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
     /// The Row Hammer threshold `TRH` being defended against.
     pub t_rh: u64,

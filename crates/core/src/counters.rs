@@ -9,8 +9,6 @@
 //! reset. Reading and updating a counter happens on every swap and costs one
 //! access to a dedicated counter row.
 
-use serde::{Deserialize, Serialize};
-
 use crate::open_map::OpenMap;
 
 /// Width of the epoch-id field in each counter.
@@ -29,7 +27,7 @@ pub const COUNTER_BITS: u32 = 32;
 /// swap (all banks of a benign or baseline run) hold no storage and a
 /// touched bank snapshots in kilobytes — the earlier direct-indexed array
 /// zeroed a megabyte per bank on its first swap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwapCounters {
     rows_per_bank: u64,
     row_size_bytes: u64,

@@ -1,13 +1,11 @@
 //! The defense abstraction: what a row-swap Row Hammer mitigation looks like
 //! to the memory system.
 
-use serde::{Deserialize, Serialize};
-
 use crate::actions::MitigationAction;
 use crate::storage::StorageReport;
 
 /// Which defense to instantiate (used by experiment configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefenseKind {
     /// No Row Hammer mitigation at all (the paper's not-secure baseline).
     Baseline,

@@ -8,12 +8,10 @@
 //! quickstart cells — while this table stays a few kilobytes, small enough
 //! to live in L1 and to make bank snapshots cheap.
 
-use serde::{Deserialize, Serialize};
-
 /// Open-addressed map with Fibonacci hashing, linear probing and
 /// backward-shift deletion (no tombstones). Keys are stored `+ 1` so a
 /// zero slot means empty; the table keeps load factor at or below 1/2.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpenMap {
     /// `key + 1` per slot; 0 = empty. Length is a power of two (or zero
     /// before the first insert).

@@ -10,14 +10,12 @@
 //! smaller and it swaps less) is preserved, which is what the table is used
 //! for in the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::MitigationConfig;
 use crate::defense::DefenseKind;
 use crate::storage::storage_for;
 
 /// Technology constants of the first-order SRAM model (32 nm class).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramPowerModel {
     /// Leakage power per kilobyte of SRAM, in milliwatts.
     pub leakage_mw_per_kib: f64,
@@ -33,7 +31,7 @@ impl Default for SramPowerModel {
 }
 
 /// Power estimate for one channel's worth of defense structures.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerReport {
     /// SRAM power (leakage + dynamic) in milliwatts per channel.
     pub sram_mw: f64,

@@ -30,12 +30,10 @@
 //! per bank on its first swap, which dominated the defense wall time of
 //! the saturated quickstart cells.
 
-use serde::{Deserialize, Serialize};
-
 use crate::open_map::OpenMap;
 
 /// Capacity and sizing parameters of a per-bank RIT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RitConfig {
     /// Maximum number of live (non-identity) mappings per bank.
     pub capacity: usize,
@@ -79,7 +77,7 @@ impl RitConfig {
 }
 
 /// A record of one swap performed through the RIT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapRecord {
     /// The logical row that triggered the swap.
     pub row: u64,
@@ -93,7 +91,7 @@ pub struct SwapRecord {
 }
 
 /// The per-bank Row Indirection Table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BankRit {
     /// Logical row → index into the dense live arrays.
     fwd: OpenMap,
@@ -361,7 +359,7 @@ impl BankRit {
 }
 
 /// All per-bank RITs of a defense.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowIndirectionTable {
     config: RitConfig,
     banks: Vec<BankRit>,

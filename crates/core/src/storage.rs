@@ -1,13 +1,11 @@
 //! On-chip (SRAM) storage accounting, reproducing Table IV of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::MitigationConfig;
 use crate::defense::DefenseKind;
 use crate::rit::RitConfig;
 
 /// SRAM storage required by one bank's worth of defense structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageReport {
     /// Row Indirection Table bits.
     pub rit_bits: u64,
@@ -42,7 +40,7 @@ impl StorageReport {
 
 /// Reference design points copied from Table IV of the paper, in bytes per
 /// bank, used to report paper-vs-model deltas in the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperStoragePoint {
     /// The Row Hammer threshold of the design point.
     pub t_rh: u64,

@@ -1,10 +1,8 @@
 //! Row Hammer thresholds across DRAM generations (Table I of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// One row of Table I: a DRAM generation and its demonstrated Row Hammer
 /// threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThresholdEntry {
     /// Human-readable DRAM generation label.
     pub generation: &'static str,

@@ -1,9 +1,7 @@
 //! Core-model configuration (the processor half of Table III).
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of one trace-driven core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Core clock frequency in GHz (3.2 GHz in Table III).
     pub clock_ghz: f64,

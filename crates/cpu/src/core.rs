@@ -9,13 +9,11 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::CoreConfig;
 use srs_workloads::{MemOp, Trace, TraceRecord};
 
 /// A unique identifier for an in-flight memory access issued by a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccessToken(pub u64);
 
 /// What a core wants to do next.
@@ -48,7 +46,7 @@ struct OutstandingRead {
 }
 
 /// Per-core statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired.
     pub retired_instructions: u64,

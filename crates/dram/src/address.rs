@@ -6,15 +6,11 @@
 //! stripe across channels, and consecutive rows of a bank are far apart in
 //! the physical address space.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::DramConfig;
 use crate::error::DramError;
 
 /// A physical byte address as seen by the memory controller.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -59,9 +55,7 @@ impl std::fmt::Display for PhysAddr {
 pub type RowId = u64;
 
 /// A global bank identifier, flattening channel, rank and bank.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BankId(usize);
 
 impl BankId {
@@ -91,7 +85,7 @@ impl std::fmt::Display for BankId {
 }
 
 /// A fully decoded DRAM coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramAddress {
     /// Channel index.
     pub channel: usize,
@@ -120,7 +114,7 @@ impl DramAddress {
 /// realistic DRAM geometry (Table III included) is a power of two in all
 /// dimensions — a shift-and-mask beats the div/mod chain by an order of
 /// magnitude. Non-power-of-two geometries keep the exact div/mod semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PowDiv {
     divisor: u64,
     shift: u32,
@@ -159,7 +153,7 @@ impl PowDiv {
 /// region of the physical address space maps onto a single DRAM row of a
 /// single bank. This is the mapping the paper's hot-row behaviour (and the
 /// Row Hammer attack surface) assumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AddressMapper {
     config: DramConfig,
     line: PowDiv,

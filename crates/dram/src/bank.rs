@@ -1,12 +1,10 @@
 //! Per-bank state: row buffer, busy time, and activation counts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::RowId;
 use crate::Nanos;
 
 /// The row-buffer state of a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BankState {
     /// All rows precharged; the bank is ready to activate a row.
     #[default]
@@ -20,7 +18,7 @@ pub enum BankState {
 /// The bank tracks which row (if any) is open, the time until which it is
 /// busy with an in-flight access, refresh or maintenance operation, and how
 /// many activations it has performed in the current refresh window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bank {
     state: BankState,
     busy_until_ns: Nanos,

@@ -1,15 +1,11 @@
 //! Memory requests, completions, activation events and maintenance operations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::{BankId, PhysAddr, RowId};
 use crate::Nanos;
 
 /// Identifier handed back when a request is enqueued, used to match
 /// completions to requests.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -19,7 +15,7 @@ impl std::fmt::Display for RequestId {
 }
 
 /// Whether a demand access reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A demand read (load miss or fetch miss).
     Read,
@@ -28,7 +24,7 @@ pub enum AccessKind {
 }
 
 /// A demand memory request issued by the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Physical address of the access (line-aligned by the controller).
     pub addr: PhysAddr,
@@ -75,7 +71,7 @@ impl MemRequest {
 }
 
 /// A completed demand access, reported by [`crate::MemoryController::tick`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedAccess {
     /// The identifier returned by `enqueue`.
     pub request_id: RequestId,
@@ -101,7 +97,7 @@ impl CompletedAccess {
 /// trackers count them and the attack models reason about them. Activations
 /// caused by mitigation operations (swap, unswap, place-back) are flagged so
 /// the latent-activation analysis of the Juggernaut attack can be reproduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivationEvent {
     /// Global bank the activation occurred in.
     pub bank: BankId,
@@ -130,7 +126,7 @@ pub struct ActivationEvent {
 /// [`ActivationEvent`] per entry of `activations`. The set of activations is
 /// decided by the mitigation — this is exactly where the *latent activations*
 /// exploited by the Juggernaut attack enter the model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaintenanceOp {
     /// Bank the operation occupies.
     pub bank: BankId,
@@ -144,7 +140,7 @@ pub struct MaintenanceOp {
 }
 
 /// The kind of maintenance operation, for statistics and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum MaintenanceKind {
     /// An initial swap of two rows.

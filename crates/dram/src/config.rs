@@ -5,8 +5,6 @@
 //! and 8 KB rows, with tRCD-tRP-tCAS of 14-14-14 ns, tRC of 45 ns, tRFC of
 //! 350 ns and tREFI of 7.8 µs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Nanos;
 
 /// Row-buffer management policy of the memory controller.
@@ -14,7 +12,7 @@ use crate::Nanos;
 /// The paper (and the RRS analysis it builds on) assumes a *closed-page*
 /// policy; the open-page policy is used in the Discussion section to study
 /// the sensitivity of the Juggernaut attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PagePolicy {
     /// Precharge the row immediately after every column access.
     #[default]
@@ -25,7 +23,7 @@ pub enum PagePolicy {
 }
 
 /// DDR4 timing parameters, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramTiming {
     /// Row-to-column delay (ACT to READ/WRITE), `tRCD`.
     pub t_rcd: Nanos,
@@ -83,7 +81,7 @@ impl DramTiming {
 }
 
 /// Full configuration of the DRAM memory system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Number of independent channels.
     pub channels: usize,

@@ -15,12 +15,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::RowId;
 
 /// Which error-correcting code protects the modelled DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EccKind {
     /// No ECC: every flipped bit in a read line is served silently.
     #[default]

@@ -2,13 +2,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::command::MaintenanceKind;
 use crate::Nanos;
 
 /// Statistics accumulated by a [`crate::MemoryController`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControllerStats {
     /// Number of demand reads serviced.
     pub reads: u64,

@@ -329,8 +329,11 @@ fn encode_ranges(sorted_cells: &[usize]) -> Json {
     Json::Array(ranges)
 }
 
-/// Decode the [`encode_ranges`] form back into a sorted cell list.
-fn decode_ranges(field: &str, json: &Json) -> Result<Vec<usize>, String> {
+/// Decode the [`encode_ranges`] form back into a sorted cell list of a
+/// grid of `total_cells` cells. Each range is checked against the grid and
+/// against its predecessor before it is expanded, so a corrupt range can
+/// never decode to more than `total_cells` cells.
+fn decode_ranges(field: &str, json: &Json, total_cells: usize) -> Result<Vec<usize>, String> {
     let ranges = json.as_array().ok_or(format!("{field} must be an array of [first, last]"))?;
     let mut cells = Vec::new();
     for range in ranges {
@@ -338,16 +341,21 @@ fn decode_ranges(field: &str, json: &Json) -> Result<Vec<usize>, String> {
             .as_array()
             .filter(|p| p.len() == 2)
             .ok_or(format!("{field} entries must be two-element [first, last] arrays"))?;
-        let lo = pair[0].as_u64().ok_or(format!("{field} bounds must be integers"))? as usize;
-        let hi = pair[1].as_u64().ok_or(format!("{field} bounds must be integers"))? as usize;
+        let lo = pair[0].as_u64().ok_or(format!("{field} bounds must be integers"))?;
+        let hi = pair[1].as_u64().ok_or(format!("{field} bounds must be integers"))?;
         if hi < lo {
             return Err(format!("{field} range [{lo}, {hi}] is inverted"));
         }
+        if hi >= total_cells as u64 {
+            return Err(format!(
+                "{field} range [{lo}, {hi}] reaches past the grid's {total_cells} cells"
+            ));
+        }
+        let (lo, hi) = (lo as usize, hi as usize);
+        if cells.last().is_some_and(|&last| lo <= last) {
+            return Err(format!("{field} ranges must be sorted and disjoint"));
+        }
         cells.extend(lo..=hi);
-    }
-    let sorted = cells.windows(2).all(|w| w[0] < w[1]);
-    if !sorted {
-        return Err(format!("{field} ranges must be sorted and disjoint"));
     }
     Ok(cells)
 }
@@ -411,9 +419,11 @@ impl ShardManifest {
                 .map(|v| v as usize)
                 .ok_or_else(|| corrupt(format!("'{key}' must be an integer")))
         };
+        let total_cells = int_of("total_cells")?;
         let cells = decode_ranges(
             "cells",
             json.get("cells").ok_or_else(|| corrupt("missing 'cells'".to_string()))?,
+            total_cells,
         )
         .map_err(corrupt)?;
         let spec_json = json.get("spec").ok_or_else(|| corrupt("missing 'spec'".to_string()))?;
@@ -423,7 +433,7 @@ impl ShardManifest {
             campaign: str_of("campaign")?,
             shard_index: int_of("shard_index")?,
             shard_count: int_of("shard_count")?,
-            total_cells: int_of("total_cells")?,
+            total_cells,
             cells,
             spec,
         })
@@ -563,11 +573,13 @@ impl CampaignManifest {
         let cells = decode_ranges(
             "cells",
             json.get("cells").ok_or_else(|| corrupt("missing 'cells'".to_string()))?,
+            total_cells,
         )
         .map_err(&corrupt)?;
         let completed = decode_ranges(
             "completed",
             json.get("completed").ok_or_else(|| corrupt("missing 'completed'".to_string()))?,
+            total_cells,
         )
         .map_err(&corrupt)?;
         let failed = json
@@ -880,11 +892,52 @@ mod tests {
         let cells = vec![0, 1, 2, 3, 7, 9, 10];
         let encoded = encode_ranges(&cells);
         assert_eq!(encoded.to_compact(), "[[0, 3], [7, 7], [9, 10]]");
-        assert_eq!(decode_ranges("cells", &encoded).unwrap(), cells);
+        assert_eq!(decode_ranges("cells", &encoded, 11).unwrap(), cells);
         assert_eq!(encode_ranges(&[]).to_compact(), "[]");
-        assert_eq!(decode_ranges("cells", &encode_ranges(&[])).unwrap(), Vec::<usize>::new());
-        assert!(decode_ranges("cells", &Json::parse("[[3,1]]").unwrap()).is_err());
-        assert!(decode_ranges("cells", &Json::parse("[[5,6],[1,2]]").unwrap()).is_err());
+        assert_eq!(decode_ranges("cells", &encode_ranges(&[]), 0).unwrap(), Vec::<usize>::new());
+        assert!(decode_ranges("cells", &Json::parse("[[3,1]]").unwrap(), 11).is_err());
+        assert!(decode_ranges("cells", &Json::parse("[[5,6],[1,2]]").unwrap(), 11).is_err());
+        // The last cell must lie inside the grid.
+        assert!(decode_ranges("cells", &encoded, 10).is_err());
+    }
+
+    /// Ranges far past the grid, or overlapping an earlier range, are
+    /// rejected before they are expanded: neither manifest may size its
+    /// cell list from an untrusted range end.
+    #[test]
+    fn manifests_reject_out_of_grid_ranges_before_expanding_them() {
+        let shard = |cells: &str| {
+            let spec = ExperimentSpec::parse(r#"{"name": "demo", "workloads": ["gups"]}"#).unwrap();
+            let manifest = ShardManifest {
+                campaign: "demo".to_string(),
+                shard_index: 0,
+                shard_count: 1,
+                total_cells: 4,
+                cells: vec![0, 1],
+                spec,
+            };
+            let text = manifest.to_json().to_compact().replace("[[0, 1]]", cells);
+            ShardManifest::parse("shard.json", &text)
+        };
+        assert!(shard("[[0, 3]]").is_ok());
+        for cells in ["[[0, 4611686018427387904]]", "[[0, 2], [1, 4611686018427387904]]"] {
+            let err = shard(cells).unwrap_err();
+            assert!(matches!(err, CampaignError::Corrupt(_)), "{cells}: {err}");
+            assert!(err.to_string().contains("cells"), "{err}");
+        }
+
+        let manifest = |completed: &str| {
+            let mut manifest = CampaignManifest::new("demo", 4, (0..4).collect());
+            manifest.completed = vec![0, 1];
+            let text = manifest.to_json().to_compact().replacen("[[0, 1]]", completed, 1);
+            CampaignManifest::from_json("out.manifest.json", &Json::parse(&text).unwrap())
+        };
+        assert!(manifest("[[0, 1]]").is_ok());
+        for completed in ["[[4, 4611686018427387904]]", "[[0, 1], [0, 4611686018427387904]]"] {
+            let err = manifest(completed).unwrap_err();
+            assert!(matches!(err, CampaignError::Corrupt(_)), "{completed}: {err}");
+            assert!(err.to_string().contains("completed"), "{err}");
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! performance or security results. Its product is the
 //! [`IntegrityReport`] on [`crate::metrics::SimResult`].
 
-use serde::{Deserialize, Serialize};
 use srs_dram::{
     AccessKind, AddressMapper, DamageStore, DramConfig, EccKind, EccOutcome, MemRequest,
 };
@@ -35,7 +34,7 @@ use crate::json::{obj, Json, ToJson};
 
 /// Configuration of the fault-injection layer (the `"faults"` block of a
 /// spec file). Disabled by default; the layer only runs on attacked cells.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultsConfig {
     /// Whether bit-flip injection and ECC decode are active.
     pub enabled: bool,
@@ -311,7 +310,7 @@ impl FaultInjector {
 /// Data-integrity metrics of one fault-injected run: what actually happened
 /// to memory contents, as opposed to the TRH-crossing proxy of
 /// [`crate::security::SecurityReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntegrityReport {
     /// The ECC the run modelled ([`EccKind::label`]).
     pub ecc: String,

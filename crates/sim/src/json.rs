@@ -1,12 +1,12 @@
 //! A small, self-contained JSON codec.
 //!
-//! The workspace builds without a crate registry, so the `serde` shim under
-//! `crates/compat/serde` is marker-only and cannot serialize anything. This
-//! module provides the actual wire format the experiment API uses: a
-//! [`Json`] document value, a recursive-descent [`Json::parse`] with byte
-//! offsets in errors, and compact / pretty writers. Integers are kept exact
-//! over the full `u64`/`i64` range (a `seed` of `u64::MAX` round-trips
-//! bit-for-bit rather than being squashed through an `f64`).
+//! The workspace builds without a crate registry, so it carries no
+//! serialization framework. This module provides the wire format the
+//! experiment API uses: a [`Json`] document value, a recursive-descent
+//! [`Json::parse`] with byte offsets in errors, and compact / pretty
+//! writers. Integers are kept exact over the full `u64`/`i64` range (a
+//! `seed` of `u64::MAX` round-trips bit-for-bit rather than being squashed
+//! through an `f64`).
 //!
 //! Types that ship over this format implement [`ToJson`] (and, where a spec
 //! needs to be read back, a `from_json` inherent constructor); see

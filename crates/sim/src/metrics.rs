@@ -1,6 +1,5 @@
 //! Results produced by simulation runs.
 
-use serde::{Deserialize, Serialize};
 use srs_dram::ControllerStats;
 
 use crate::faults::IntegrityReport;
@@ -9,7 +8,7 @@ use crate::security::SecurityReport;
 use crate::telemetry::TelemetryReport;
 
 /// The result of simulating one workload on one system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Workload name.
     pub workload: String,
@@ -116,7 +115,7 @@ impl ToJson for ControllerStats {
 }
 
 /// A defense result normalized against its baseline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NormalizedResult {
     /// Workload name.
     pub workload: String,

@@ -1,8 +1,8 @@
 //! Experiment runner: normalized performance, suite sweeps and parallel
 //! execution of many simulations.
 
-use crossbeam::channel;
-use serde::{Deserialize, Serialize};
+use std::sync::{mpsc, Mutex, PoisonError};
+
 use srs_core::DefenseKind;
 use srs_workloads::{NamedWorkload, Suite};
 
@@ -179,8 +179,8 @@ pub(crate) fn run_isolated<T>(
 #[derive(Debug)]
 pub enum JobEvent<O> {
     /// A worker picked the job up. Start events arrive in *completion-race*
-    /// order (whichever worker dequeues first), not submission order — use
-    /// them for progress display, not for sequencing.
+    /// order (whichever worker takes its next job first), not submission
+    /// order — use them for progress display, not for sequencing.
     Started(usize),
     /// The job finished. Finish events are delivered strictly in
     /// **submission order**: `Finished(i, _)` always arrives after
@@ -215,29 +215,24 @@ where
         return;
     }
     let total = items.len();
-    let (job_tx, job_rx) = channel::unbounded::<(usize, I)>();
-    let (event_tx, event_rx) = channel::unbounded::<JobEvent<O>>();
-    for job in items.into_iter().enumerate() {
-        // Invariant: `job_rx` lives until the thread scope below joins, so
-        // the unbounded channel cannot be disconnected yet.
-        #[allow(clippy::expect_used)]
-        job_tx.send(job).expect("queue open");
-    }
-    drop(job_tx);
+    // Workers take jobs in submission order from one shared iterator. The
+    // lock is released before the job runs, so a panicking job never
+    // poisons it.
+    let jobs = Mutex::new(items.into_iter().enumerate());
+    let (event_tx, event_rx) = mpsc::channel::<JobEvent<O>>();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let job_rx = job_rx.clone();
             let event_tx = event_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((index, item)) = job_rx.recv() {
-                    if event_tx.send(JobEvent::Started(index)).is_err() {
-                        break;
-                    }
-                    if event_tx.send(JobEvent::Finished(index, f(item))).is_err() {
-                        break;
-                    }
+            let (jobs, f) = (&jobs, &f);
+            scope.spawn(move || loop {
+                let next = jobs.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((index, item)) = next else { break };
+                if event_tx.send(JobEvent::Started(index)).is_err() {
+                    break;
+                }
+                if event_tx.send(JobEvent::Finished(index, f(item))).is_err() {
+                    break;
                 }
             });
         }
@@ -303,7 +298,7 @@ pub fn run_parallel(
 /// One row of a suite-average table: a suite (or the overall `"ALL"` row),
 /// its mean normalized performance, and how many per-workload results the
 /// mean aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRow {
     /// Suite label, or the stable `"ALL"` for the overall mean.
     pub label: String,
@@ -470,6 +465,30 @@ mod tests {
         );
         assert_eq!(started, 5);
         assert_eq!(finished, vec![(0, 30), (1, 0), (2, 20), (3, 0), (4, 10)]);
+    }
+
+    /// Four jobs of which job 2 panics: the pool must name job 2 whatever
+    /// the worker count, after the panicking worker's sender drops during
+    /// unwinding and the event stream closes with a gap.
+    fn run_with_panicking_job_two(threads: usize) {
+        parallel_for_each_ordered(
+            vec![0usize, 1, 2, 3],
+            threads,
+            |job| assert_ne!(job, 2, "job 2 fails"),
+            |_| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked while executing job 2")]
+    fn a_panicking_job_is_reported_by_index_on_one_thread() {
+        run_with_panicking_job_two(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked while executing job 2")]
+    fn a_panicking_job_is_reported_by_index_on_two_threads() {
+        run_with_panicking_job_two(2);
     }
 
     #[test]

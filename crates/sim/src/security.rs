@@ -18,7 +18,6 @@
 //! attack.
 
 use fxhash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use srs_dram::ActivationEvent;
 
 use crate::faults::FaultInjector;
@@ -192,7 +191,7 @@ pub struct ReportContext {
 }
 
 /// Security metrics of one attacked simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecurityReport {
     /// Attack name.
     pub attack: String,

@@ -929,14 +929,14 @@ pub fn attack_spec_from_json(json: &Json) -> Result<AttackSpec, SpecError> {
     })
 }
 
-pub(crate) fn page_policy_name(policy: PagePolicy) -> &'static str {
+fn page_policy_name(policy: PagePolicy) -> &'static str {
     match policy {
         PagePolicy::ClosedPage => "closed-page",
         PagePolicy::OpenPage => "open-page",
     }
 }
 
-pub(crate) fn parse_page_policy(name: &str) -> Result<PagePolicy, SpecError> {
+fn parse_page_policy(name: &str) -> Result<PagePolicy, SpecError> {
     match name {
         "closed-page" => Ok(PagePolicy::ClosedPage),
         "open-page" => Ok(PagePolicy::OpenPage),
@@ -949,35 +949,29 @@ pub(crate) fn parse_page_policy(name: &str) -> Result<PagePolicy, SpecError> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON field helpers shared by the spec and config codecs.
+// JSON field helpers of the spec codec.
 
-pub(crate) fn u64_field(field: &str, value: &Json) -> Result<u64, SpecError> {
+fn u64_field(field: &str, value: &Json) -> Result<u64, SpecError> {
     value.as_u64().ok_or_else(|| SpecError::field(field, "must be a non-negative integer"))
 }
 
-pub(crate) fn usize_field(field: &str, value: &Json) -> Result<usize, SpecError> {
+fn usize_field(field: &str, value: &Json) -> Result<usize, SpecError> {
     u64_field(field, value).map(|v| v as usize)
 }
 
-pub(crate) fn u32_field(field: &str, value: &Json) -> Result<u32, SpecError> {
-    u64_field(field, value)?
-        .try_into()
-        .map_err(|_| SpecError::field(field, "must fit in an unsigned 32-bit integer"))
-}
-
-pub(crate) fn f64_field(field: &str, value: &Json) -> Result<f64, SpecError> {
+fn f64_field(field: &str, value: &Json) -> Result<f64, SpecError> {
     value.as_f64().ok_or_else(|| SpecError::field(field, "must be a number"))
 }
 
-pub(crate) fn str_field<'j>(field: &str, value: &'j Json) -> Result<&'j str, SpecError> {
+fn str_field<'j>(field: &str, value: &'j Json) -> Result<&'j str, SpecError> {
     value.as_str().ok_or_else(|| SpecError::field(field, "must be a string"))
 }
 
-pub(crate) fn bool_field(field: &str, value: &Json) -> Result<bool, SpecError> {
+fn bool_field(field: &str, value: &Json) -> Result<bool, SpecError> {
     value.as_bool().ok_or_else(|| SpecError::field(field, "must be a boolean"))
 }
 
-pub(crate) fn require<'j>(json: &'j Json, field: &str) -> Result<&'j Json, SpecError> {
+fn require<'j>(json: &'j Json, field: &str) -> Result<&'j Json, SpecError> {
     json.get(field).ok_or_else(|| SpecError::field(field, "missing required field"))
 }
 

@@ -11,12 +11,10 @@
 
 use fxhash::FxHashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tracker::{AggressorTracker, TrackerDecision};
 
 /// Configuration of the Hydra tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HydraConfig {
     /// Swap threshold `TS`.
     pub swap_threshold: u64,
@@ -59,7 +57,7 @@ impl HydraConfig {
 type RowKey = (usize, u64);
 
 /// The Hydra tracker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HydraTracker {
     config: HydraConfig,
     /// Group counters, indexed `[bank][group]`.

@@ -12,13 +12,11 @@
 //! array, an epoch reset is a memset of the index, and a snapshot of the
 //! tracker is a plain memcpy of a few flat `Vec`s.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scan;
 use crate::tracker::{AggressorTracker, TrackerDecision};
 
 /// Configuration of the Misra-Gries tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MisraGriesConfig {
     /// Swap threshold `TS`: a mitigation fires when a row's counter reaches it.
     pub swap_threshold: u64,
@@ -59,7 +57,7 @@ fn bucket_of(row: u64, bits: u32) -> usize {
 
 /// One bank's tracking table: dense slot storage plus an open-addressed
 /// row → slot index (linear probing, backward-shift deletion).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct BankTable {
     /// Row tag of each live slot (`0..len`).
     rows: Vec<u64>,
@@ -294,7 +292,7 @@ impl BankTable {
 }
 
 /// The Misra-Gries aggressor tracker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MisraGriesTracker {
     config: MisraGriesConfig,
     banks: Vec<BankTable>,

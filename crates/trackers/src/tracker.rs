@@ -1,9 +1,7 @@
 //! The tracker abstraction shared by all aggressor-row trackers.
 
-use serde::{Deserialize, Serialize};
-
 /// What a tracker decided after observing one activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrackerDecision {
     /// The observed row crossed the swap threshold and the mitigation should
     /// act on it now. The tracker has already reset its own count for the
@@ -29,7 +27,7 @@ impl TrackerDecision {
 }
 
 /// Which tracker implementation to instantiate (used by experiment configs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrackerKind {
     /// The Misra-Gries tracker used by Graphene and RRS.
     #[default]

@@ -10,12 +10,10 @@
 //! window. Workloads the paper singles out as RRS-hostile (gcc, hmmer,
 //! bzip2, zeusmp, astar, sphinx3, xz_17, GUPS) get hot-row-heavy profiles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::synth::{AccessPattern, WorkloadSpec};
 
 /// The benchmark suites of the evaluation (Figure 14's x-axis groups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// The GUPS random-access kernel.
     Gups,
@@ -68,7 +66,7 @@ impl Suite {
 }
 
 /// How aggressive a workload's row-activation behaviour is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Profile {
     /// Hot rows cross the swap threshold many times per window.
     HotRowHeavy,
@@ -92,7 +90,7 @@ enum Profile {
 pub struct TraceKey(Profile);
 
 /// A named workload belonging to a suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamedWorkload {
     /// Workload name as used in the paper's figures.
     pub name: &'static str,

@@ -7,15 +7,13 @@
 //! reports detailed results only for workloads with at least one row
 //! receiving 800+ activations in 64 ms).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-use crate::trace::{MemOp, Trace, TraceRecord};
+use crate::trace::{take_array, take_name, MemOp, Trace, TraceRecord};
 
 /// The spatial access pattern of a synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Uniform random accesses over the footprint (GUPS-like).
     Uniform,
@@ -41,7 +39,7 @@ pub enum AccessPattern {
 }
 
 /// A complete description of a synthetic workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Workload name.
     pub name: String,
@@ -124,63 +122,56 @@ impl WorkloadSpec {
         Trace::new(self.name.clone(), out)
     }
 
-    /// Serialize the specification (pattern included) to a compact binary
-    /// representation, so experiment grids can persist the exact generator
-    /// inputs next to their results. (The workspace's offline `serde` shim
-    /// is marker-only, so the codec is hand-rolled like [`Trace::to_bytes`].)
+    /// Serialize the specification (pattern included) to a compact
+    /// big-endian binary representation, so experiment grids can persist
+    /// the exact generator inputs next to their results. Like
+    /// [`Trace::to_bytes`], it starts with the `u32`-length-prefixed name.
     #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.name.len());
-        buf.put_u32(self.name.len() as u32);
-        buf.put_slice(self.name.as_bytes());
-        buf.put_u64(self.footprint_bytes);
-        buf.put_u64(self.base_addr);
-        buf.put_u64(self.read_fraction.to_bits());
-        buf.put_u32(self.mean_gap);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64 + self.name.len());
+        buf.extend_from_slice(&(self.name.len() as u32).to_be_bytes());
+        buf.extend_from_slice(self.name.as_bytes());
+        buf.extend_from_slice(&self.footprint_bytes.to_be_bytes());
+        buf.extend_from_slice(&self.base_addr.to_be_bytes());
+        buf.extend_from_slice(&self.read_fraction.to_bits().to_be_bytes());
+        buf.extend_from_slice(&self.mean_gap.to_be_bytes());
         match self.pattern {
-            AccessPattern::Uniform => buf.put_u8(0),
+            AccessPattern::Uniform => buf.push(0),
             AccessPattern::Streaming { stride } => {
-                buf.put_u8(1);
-                buf.put_u64(stride);
+                buf.push(1);
+                buf.extend_from_slice(&stride.to_be_bytes());
             }
             AccessPattern::HotRows { hot_rows, hot_fraction } => {
-                buf.put_u8(2);
-                buf.put_u64(hot_rows);
-                buf.put_u64(hot_fraction.to_bits());
+                buf.push(2);
+                buf.extend_from_slice(&hot_rows.to_be_bytes());
+                buf.extend_from_slice(&hot_fraction.to_bits().to_be_bytes());
             }
             AccessPattern::RowBurst { burst } => {
-                buf.put_u8(3);
-                buf.put_u64(burst);
+                buf.push(3);
+                buf.extend_from_slice(&burst.to_be_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a specification previously produced by
     /// [`WorkloadSpec::to_bytes`]. Returns `None` if the buffer is
     /// truncated or malformed.
     #[must_use]
-    pub fn from_bytes(mut data: Bytes) -> Option<Self> {
-        if data.remaining() < 4 {
-            return None;
-        }
-        let name_len = data.get_u32() as usize;
-        if data.remaining() < name_len + 8 + 8 + 8 + 4 + 1 {
-            return None;
-        }
-        let name = String::from_utf8(data.copy_to_bytes(name_len).to_vec()).ok()?;
-        let footprint_bytes = data.get_u64();
-        let base_addr = data.get_u64();
-        let read_fraction = f64::from_bits(data.get_u64());
-        let mean_gap = data.get_u32();
-        let pattern = match data.get_u8() {
-            0 => AccessPattern::Uniform,
-            1 if data.remaining() >= 8 => AccessPattern::Streaming { stride: data.get_u64() },
-            2 if data.remaining() >= 16 => AccessPattern::HotRows {
-                hot_rows: data.get_u64(),
-                hot_fraction: f64::from_bits(data.get_u64()),
+    pub fn from_bytes(mut data: &[u8]) -> Option<Self> {
+        let name = take_name(&mut data)?;
+        let footprint_bytes = u64::from_be_bytes(take_array(&mut data)?);
+        let base_addr = u64::from_be_bytes(take_array(&mut data)?);
+        let read_fraction = f64::from_bits(u64::from_be_bytes(take_array(&mut data)?));
+        let mean_gap = u32::from_be_bytes(take_array(&mut data)?);
+        let pattern = match take_array(&mut data)? {
+            [0] => AccessPattern::Uniform,
+            [1] => AccessPattern::Streaming { stride: u64::from_be_bytes(take_array(&mut data)?) },
+            [2] => AccessPattern::HotRows {
+                hot_rows: u64::from_be_bytes(take_array(&mut data)?),
+                hot_fraction: f64::from_bits(u64::from_be_bytes(take_array(&mut data)?)),
             },
-            3 if data.remaining() >= 8 => AccessPattern::RowBurst { burst: data.get_u64() },
+            [3] => AccessPattern::RowBurst { burst: u64::from_be_bytes(take_array(&mut data)?) },
             _ => return None,
         };
         Some(Self { name, footprint_bytes, base_addr, read_fraction, mean_gap, pattern })

@@ -6,11 +6,8 @@
 //! shape: a stream of records, each saying how many non-memory instructions
 //! precede a memory operation at a given physical address.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// Whether a trace record reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOp {
     /// A load.
     Read,
@@ -20,7 +17,7 @@ pub enum MemOp {
 
 /// One record of a trace: `nonmem_insts` non-memory instructions followed by
 /// one memory operation at `addr`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Non-memory instructions executed before this memory operation.
     pub nonmem_insts: u32,
@@ -40,7 +37,7 @@ impl TraceRecord {
 }
 
 /// A named memory-access trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// Workload name (e.g. `"gcc"`, `"gups"`, `"mix3"`).
     pub name: String,
@@ -93,55 +90,70 @@ impl Trace {
         self.records.len() as f64 * 1000.0 / insts as f64
     }
 
-    /// Serialize the trace to a compact binary representation.
+    /// Serialize the trace to a compact big-endian binary representation.
     #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.name.len() + self.records.len() * 13);
-        buf.put_u32(self.name.len() as u32);
-        buf.put_slice(self.name.as_bytes());
-        buf.put_u64(self.records.len() as u64);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16 + self.name.len() + self.records.len() * RECORD_BYTES);
+        buf.extend_from_slice(&(self.name.len() as u32).to_be_bytes());
+        buf.extend_from_slice(self.name.as_bytes());
+        buf.extend_from_slice(&(self.records.len() as u64).to_be_bytes());
         for r in &self.records {
-            buf.put_u32(r.nonmem_insts);
-            buf.put_u8(match r.op {
+            buf.extend_from_slice(&r.nonmem_insts.to_be_bytes());
+            buf.push(match r.op {
                 MemOp::Read => 0,
                 MemOp::Write => 1,
             });
-            buf.put_u64(r.addr);
+            buf.extend_from_slice(&r.addr.to_be_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a trace previously produced by [`Trace::to_bytes`].
     ///
     /// Returns `None` if the buffer is truncated or malformed.
     #[must_use]
-    pub fn from_bytes(mut data: Bytes) -> Option<Self> {
-        if data.remaining() < 4 {
+    pub fn from_bytes(mut data: &[u8]) -> Option<Self> {
+        let name = take_name(&mut data)?;
+        // Bound the decoded count by the bytes actually present before
+        // allocating for it, so a corrupt count cannot abort the process.
+        let count = u64::from_be_bytes(take_array(&mut data)?);
+        if count > (data.len() / RECORD_BYTES) as u64 {
             return None;
         }
-        let name_len = data.get_u32() as usize;
-        if data.remaining() < name_len + 8 {
-            return None;
-        }
-        let name_bytes = data.copy_to_bytes(name_len);
-        let name = String::from_utf8(name_bytes.to_vec()).ok()?;
-        let count = data.get_u64() as usize;
-        let mut records = Vec::with_capacity(count);
+        let mut records = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            if data.remaining() < 13 {
-                return None;
-            }
-            let nonmem_insts = data.get_u32();
-            let op = match data.get_u8() {
-                0 => MemOp::Read,
-                1 => MemOp::Write,
+            let nonmem_insts = u32::from_be_bytes(take_array(&mut data)?);
+            let op = match take_array(&mut data)? {
+                [0] => MemOp::Read,
+                [1] => MemOp::Write,
                 _ => return None,
             };
-            let addr = data.get_u64();
+            let addr = u64::from_be_bytes(take_array(&mut data)?);
             records.push(TraceRecord { nonmem_insts, op, addr });
         }
         Some(Self { name, records })
     }
+}
+
+/// Encoded size of one record: a `u32` gap, a `u8` op and a `u64` address.
+const RECORD_BYTES: usize = 13;
+
+/// Split the next `N` bytes off the front of `data`, or `None` if fewer
+/// are left. The binary decoders read every field through this, so a short
+/// buffer decodes to `None` instead of panicking.
+pub(crate) fn take_array<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = data.split_first_chunk()?;
+    *data = tail;
+    Some(*head)
+}
+
+/// Split the `u32`-length-prefixed UTF-8 name both binary codecs start
+/// with off the front of `data`.
+pub(crate) fn take_name(data: &mut &[u8]) -> Option<String> {
+    let len = u32::from_be_bytes(take_array(data)?) as usize;
+    let (name, tail) = data.split_at_checked(len)?;
+    *data = tail;
+    String::from_utf8(name.to_vec()).ok()
 }
 
 #[cfg(test)]
@@ -172,7 +184,7 @@ mod tests {
     fn binary_round_trip() {
         let t = sample();
         let bytes = t.to_bytes();
-        let back = Trace::from_bytes(bytes).expect("well-formed");
+        let back = Trace::from_bytes(&bytes).expect("well-formed");
         assert_eq!(back, t);
     }
 
@@ -180,9 +192,13 @@ mod tests {
     fn truncated_bytes_are_rejected() {
         let t = sample();
         let bytes = t.to_bytes();
-        let truncated = bytes.slice(0..bytes.len() - 4);
-        assert!(Trace::from_bytes(truncated).is_none());
-        assert!(Trace::from_bytes(Bytes::new()).is_none());
+        assert!(Trace::from_bytes(&bytes[..bytes.len() - 4]).is_none());
+        assert!(Trace::from_bytes(&[]).is_none());
+        // An empty name and a count of 2^40 records with none present: the
+        // count must be bounded by the buffer before it sizes an allocation.
+        let mut huge_count = vec![0u8; 4];
+        huge_count.extend_from_slice(&(1u64 << 40).to_be_bytes());
+        assert!(Trace::from_bytes(&huge_count).is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use scale_srs::core::rit::BankRit;
 use scale_srs::core::{MitigationConfig, RowSwapDefense, ScaleSrs, SecureRowSwap};
 use scale_srs::dram::{AddressMapper, DramConfig, PhysAddr};
 use scale_srs::trackers::{AggressorTracker, MisraGriesConfig, MisraGriesTracker};
-use scale_srs::workloads::{MemOp, Trace, TraceRecord};
+use scale_srs::workloads::{MemOp, Trace, TraceRecord, WorkloadSpec};
 
 proptest! {
     /// Decoding any line-aligned physical address and re-encoding it is the
@@ -108,8 +108,36 @@ proptest! {
                 })
                 .collect(),
         );
-        let back = Trace::from_bytes(trace.to_bytes()).unwrap();
+        let back = Trace::from_bytes(&trace.to_bytes()).unwrap();
         prop_assert_eq!(back, trace);
+    }
+
+    /// The binary decoders are total: any bytes decode to `Some` or `None`
+    /// without panicking or aborting, whatever name length or record count
+    /// they claim, and whatever does decode re-encodes to the prefix it was
+    /// read from. An optional plausible header (a short name, then an
+    /// optional small record count) lets cases get past the name into the
+    /// counts and fields; without it the bytes are raw noise.
+    #[test]
+    fn binary_decoders_never_panic_on_arbitrary_bytes(
+        header in prop::option::of((0u32..4, prop::option::of(0u64..4))),
+        tail in proptest::collection::vec(0u8..=255, 0..64),
+    ) {
+        let mut bytes = Vec::new();
+        if let Some((name_len, count)) = header {
+            bytes.extend_from_slice(&name_len.to_be_bytes());
+            bytes.extend(std::iter::repeat_n(b'n', name_len as usize));
+            if let Some(count) = count {
+                bytes.extend_from_slice(&count.to_be_bytes());
+            }
+        }
+        bytes.extend_from_slice(&tail);
+        if let Some(trace) = Trace::from_bytes(&bytes) {
+            prop_assert!(bytes.starts_with(&trace.to_bytes()));
+        }
+        if let Some(spec) = WorkloadSpec::from_bytes(&bytes) {
+            prop_assert!(bytes.starts_with(&spec.to_bytes()));
+        }
     }
 
     /// After any sequence of swaps and unswaps, `translate()` remains a
@@ -158,6 +186,15 @@ proptest! {
             }
         }
     }
+}
+
+/// A record count of `u64::MAX` behind an empty name is rejected before it
+/// sizes an allocation.
+#[test]
+fn trace_decoder_rejects_a_record_count_of_u64_max() {
+    let mut bytes = 0u32.to_be_bytes().to_vec();
+    bytes.extend_from_slice(&u64::MAX.to_be_bytes());
+    assert!(Trace::from_bytes(&bytes).is_none());
 }
 
 proptest! {

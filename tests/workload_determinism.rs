@@ -3,9 +3,8 @@
 //! Attack × defense grids are only comparable run-to-run if the victim
 //! traffic is: the same `WorkloadSpec` and seed must generate the identical
 //! `Trace` for every pattern family, and a specification must survive a
-//! serialization round-trip bit-for-bit (the workspace's offline `serde`
-//! shim is marker-only, so the round-trip goes through the hand-rolled
-//! binary codec, like `Trace::to_bytes`).
+//! round-trip through its hand-rolled binary codec (like `Trace::to_bytes`)
+//! bit-for-bit.
 
 use scale_srs::workloads::{all_workloads, hammer_trace, AccessPattern, WorkloadSpec};
 
@@ -55,7 +54,7 @@ fn named_workload_suite_is_deterministic() {
 fn workload_spec_round_trips_through_the_binary_codec() {
     for spec in every_pattern() {
         let bytes = spec.to_bytes();
-        let back = WorkloadSpec::from_bytes(bytes).expect("well-formed encoding");
+        let back = WorkloadSpec::from_bytes(&bytes).expect("well-formed encoding");
         assert_eq!(back, spec, "{}: spec must round-trip bit-for-bit", spec.name);
         // The round-tripped spec must drive the generator identically.
         assert_eq!(back.generate(1_000, 9), spec.generate(1_000, 9));
@@ -67,11 +66,11 @@ fn workload_spec_codec_rejects_malformed_buffers() {
     let bytes = spec_with("x", AccessPattern::Uniform).to_bytes();
     for cut in [1, bytes.len() / 2, bytes.len() - 1] {
         assert!(
-            WorkloadSpec::from_bytes(bytes.slice(0..cut)).is_none(),
+            WorkloadSpec::from_bytes(&bytes[..cut]).is_none(),
             "truncation at {cut} must be rejected"
         );
     }
-    assert!(WorkloadSpec::from_bytes(bytes.slice(0..0)).is_none(), "empty buffer is rejected");
+    assert!(WorkloadSpec::from_bytes(&bytes[..0]).is_none(), "empty buffer is rejected");
 }
 
 #[test]
