@@ -319,16 +319,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     // The cell set this invocation is responsible for, and the campaign
     // name its manifest records (sibling shards share the name).
     let (campaign_name, cells): (String, Vec<usize>) = match &shard {
-        Some(shard) => {
-            if shard.total_cells != total_cells {
-                return Err(fail(format!(
-                    "{input_path}: shard was planned over {} cells but the spec now \
-                     resolves to {total_cells}; re-plan the campaign",
-                    shard.total_cells
-                )));
-            }
-            (shard.campaign.clone(), shard.cells.clone())
-        }
+        Some(shard) => (shard.campaign.clone(), shard.cells.clone()),
         None => (spec.name.clone(), (0..total_cells).collect()),
     };
 
@@ -1222,16 +1213,6 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
             );
         }
         RunInput::Shard(shard) => {
-            let experiment =
-                shard.spec.to_experiment().map_err(|e| fail(format!("{path}: {e}")))?;
-            if shard.total_cells != experiment.job_count() {
-                return Err(fail(format!(
-                    "{path}: shard was planned over {} cells but the spec now resolves \
-                     to {}; re-plan the campaign",
-                    shard.total_cells,
-                    experiment.job_count()
-                )));
-            }
             println!(
                 "{path}: OK — shard {}/{} of '{}' runs {} of {} cells",
                 shard.shard_index,

@@ -223,16 +223,41 @@ fn validate_reports_a_torn_final_record_as_a_warning_not_an_error() {
 #[test]
 fn validate_rejects_a_shard_whose_cell_range_reaches_past_the_grid() {
     let (dir, _) = scratch("validate-range");
-    // 2^62 cells: the range is refused before a cell list is sized from it.
-    let shard = format!(
-        r#"{{"campaign": "campaign_tiny", "shard_index": 0, "shard_count": 1,
-            "total_cells": 6, "cells": [[0, 4611686018427387904]], "spec": {TINY_SPEC}}}"#
-    );
-    std::fs::write(dir.join("huge.shard0.json"), shard).unwrap();
-    let output = cli(&dir).args(["validate", "huge.shard0.json"]).output().unwrap();
-    assert_eq!(output.status.code(), Some(1), "a corrupt shard is a failure, not a crash");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("cells"), "the diagnostic names the field: {stderr}");
+    // 2^62 cells: the range is refused before a cell list is sized from it,
+    // whether the shard's own total is the spec's grid or admits the range.
+    for total_cells in ["6", "4611686018427387905"] {
+        let shard = format!(
+            r#"{{"campaign": "campaign_tiny", "shard_index": 0, "shard_count": 1,
+                "total_cells": {total_cells}, "cells": [[0, 4611686018427387904]],
+                "spec": {TINY_SPEC}}}"#
+        );
+        std::fs::write(dir.join("huge.shard0.json"), shard).unwrap();
+        let output = cli(&dir).args(["validate", "huge.shard0.json"]).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "a corrupt shard is a failure, not a crash");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("cells"), "the diagnostic names the field: {stderr}");
+    }
+}
+
+#[test]
+fn a_dram_geometry_every_cell_would_reject_is_refused_before_any_output() {
+    let (dir, _) = scratch("geometry");
+    for rows in ["0", "4294967296"] {
+        let spec = TINY_SPEC
+            .replace(r#""cores": 1,"#, &format!(r#""cores": 1, "rows_per_bank": {rows},"#));
+        std::fs::write(dir.join("geometry.json"), spec).unwrap();
+        let validate = cli(&dir).args(["validate", "geometry.json"]).output().unwrap();
+        assert_eq!(validate.status.code(), Some(1), "rows_per_bank {rows} must not validate");
+        let stderr = String::from_utf8_lossy(&validate.stderr);
+        assert!(stderr.contains("rows per bank"), "rows_per_bank {rows}: {stderr}");
+
+        for (verb, out) in [("run", "geometry.results.jsonl"), ("search", "geometry.search.jsonl")]
+        {
+            let run = cli(&dir).args([verb, "geometry.json", "--quiet"]).output().unwrap();
+            assert_eq!(run.status.code(), Some(1), "rows_per_bank {rows} must not {verb}");
+            assert!(!dir.join(out).exists(), "{verb} creates no output file");
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,9 @@
 //! reset. Reading and updating a counter happens on every swap and costs one
 //! access to a dedicated counter row.
 
-use crate::open_map::OpenMap;
+use fxhash::FxHashMap;
+
+use crate::rit::row_key;
 
 /// Width of the epoch-id field in each counter.
 pub const EPOCH_ID_BITS: u32 = 19;
@@ -22,20 +24,17 @@ pub const COUNTER_BITS: u32 = 32;
 ///
 /// The hardware reserves one packed `(epoch_id, count)` word per row, whose
 /// DRAM footprint [`SwapCounters::reserved_dram_bytes`] reports. The model
-/// only materialises the words of rows that have actually swapped: a
-/// compact row-keyed index over a dense word array, so banks that never
-/// swap (all banks of a benign or baseline run) hold no storage and a
-/// touched bank snapshots in kilobytes — the earlier direct-indexed array
-/// zeroed a megabyte per bank on its first swap.
+/// only materialises the words of rows that have actually swapped, in a
+/// map keyed by 32-bit row address, so banks that never swap (all banks of
+/// a benign or baseline run) hold no storage and a touched bank snapshots
+/// in kilobytes. An absent word reads as stale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwapCounters {
     rows_per_bank: u64,
     row_size_bytes: u64,
     epoch_register: u64,
-    /// Physical row → index into `words` for rows that have swapped.
-    index: OpenMap,
-    /// `(epoch_id + 1) << 32 | count` per touched row; 0 = stale.
-    words: Vec<u64>,
+    /// `(epoch_id + 1) << 32 | count` of each row that has swapped.
+    words: FxHashMap<u32, u64>,
     counter_row_accesses: u64,
 }
 
@@ -54,8 +53,7 @@ impl SwapCounters {
             rows_per_bank,
             row_size_bytes,
             epoch_register: 0,
-            index: OpenMap::new(),
-            words: Vec::new(),
+            words: FxHashMap::default(),
             counter_row_accesses: 0,
         }
     }
@@ -76,7 +74,7 @@ impl SwapCounters {
             self.epoch_register = 0;
             // The scrub rewrites every counter row; epoch-id 0 becomes
             // current again, so stale words must not alias it.
-            self.words.fill(0);
+            self.words.clear();
             true
         } else {
             false
@@ -91,19 +89,11 @@ impl SwapCounters {
     /// Each call models one read-modify-write of the counter row.
     pub fn record_swap(&mut self, row: u64, activations: u64) -> u64 {
         self.counter_row_accesses += 1;
-        let idx = match self.index.get(row as u32) {
-            Some(idx) => idx as usize,
-            None => {
-                self.index.insert(row as u32, self.words.len() as u32);
-                self.words.push(0);
-                self.words.len() - 1
-            }
-        };
         let max_count = (1u64 << ACTIVATION_COUNT_BITS) - 1;
-        let slot = &mut self.words[idx];
-        let count = if *slot >> 32 == self.epoch_register + 1 { *slot & 0xFFFF_FFFF } else { 0 };
+        let word = self.words.entry(row_key(row)).or_insert(0);
+        let count = if *word >> 32 == self.epoch_register + 1 { *word & 0xFFFF_FFFF } else { 0 };
         let count = (count + activations).min(max_count);
-        *slot = pack(self.epoch_register, count);
+        *word = pack(self.epoch_register, count);
         count
     }
 
@@ -111,8 +101,8 @@ impl SwapCounters {
     /// touched).
     #[must_use]
     pub fn count(&self, row: u64) -> u64 {
-        match self.index.get(row as u32).map(|idx| self.words[idx as usize]) {
-            Some(word) if word >> 32 == self.epoch_register + 1 => word & 0xFFFF_FFFF,
+        match self.words.get(&row_key(row)) {
+            Some(&word) if word >> 32 == self.epoch_register + 1 => word & 0xFFFF_FFFF,
             _ => 0,
         }
     }

@@ -40,7 +40,6 @@ pub mod baseline;
 pub mod config;
 pub mod counters;
 pub mod defense;
-pub mod open_map;
 pub mod power;
 pub mod rit;
 pub mod rrs;

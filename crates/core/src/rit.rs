@@ -21,16 +21,23 @@
 //!
 //! Storage model: live mappings sit in dense parallel arrays (row,
 //! location, epoch — the latter two doubling as the iteration surface for
-//! the place-back scan), and both look-up directions are compact
-//! open-addressed indexes over those arrays ([`OpenMap`]). The index
-//! space is `rows_per_bank` but only `capacity` entries are ever live, so
-//! the kilobyte-sized tables stay L1-resident, a bank that never swaps
-//! costs nothing to hold, and cloning a touched bank copies kilobytes —
-//! the earlier direct-indexed `rows_per_bank`-sized arrays zeroed ~2 MB
-//! per bank on its first swap, which dominated the defense wall time of
-//! the saturated quickstart cells.
+//! the place-back scan), and both look-up directions are
+//! `FxHashMap<u32, u32>` indexes into those arrays, keyed by 32-bit row
+//! addresses. The index space is `rows_per_bank` but only `capacity`
+//! entries are ever live, so a bank that never swaps holds no table and
+//! cloning a touched bank copies kilobytes. No result depends on the maps'
+//! iteration order: every walk runs over the dense arrays.
 
-use crate::open_map::OpenMap;
+use fxhash::FxHashMap;
+
+/// `row` as a key of the per-row maps. `DramConfig::validate` bounds a
+/// bank by `u32::MAX` rows, so every row of a valid bank converts exactly
+/// and `u32::MAX` itself names no row: a row outside every valid bank
+/// saturates to it.
+#[inline]
+pub(crate) fn row_key(row: u64) -> u32 {
+    u32::try_from(row).unwrap_or(u32::MAX)
+}
 
 /// Capacity and sizing parameters of a per-bank RIT.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +49,7 @@ pub struct RitConfig {
     /// CAT over-provisioning factor applied when reporting storage (the
     /// physical table has more slots than `capacity` live mappings).
     pub overprovision: f64,
-    /// Rows per bank — the index space of the direct-indexed tables.
+    /// Rows per bank — the index space of the per-row maps.
     pub rows_per_bank: u64,
 }
 
@@ -94,9 +101,9 @@ pub struct SwapRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BankRit {
     /// Logical row → index into the dense live arrays.
-    fwd: OpenMap,
+    fwd: FxHashMap<u32, u32>,
     /// Physical location → index into the dense live arrays.
-    rev: OpenMap,
+    rev: FxHashMap<u32, u32>,
     /// The live (remapped) logical rows, unordered.
     live: Vec<u32>,
     /// Where each live row's data currently lives, parallel to `live`.
@@ -114,13 +121,14 @@ impl BankRit {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` does not fit the table's 32-bit row encoding.
+    /// Panics if `rows` does not fit the table's 32-bit row encoding (the
+    /// bound `DramConfig::validate` enforces).
     #[must_use]
     pub fn new(capacity: usize, rows: u64) -> Self {
-        assert!(rows < u64::from(u32::MAX), "rows_per_bank exceeds the RIT's row encoding");
+        assert!(rows <= u64::from(u32::MAX), "rows_per_bank exceeds the RIT's row encoding");
         Self {
-            fwd: OpenMap::new(),
-            rev: OpenMap::new(),
+            fwd: FxHashMap::default(),
+            rev: FxHashMap::default(),
             live: Vec::new(),
             live_locs: Vec::new(),
             live_epochs: Vec::new(),
@@ -136,8 +144,8 @@ impl BankRit {
         if row >= self.rows {
             return row;
         }
-        match self.fwd.get(row as u32) {
-            Some(idx) => u64::from(self.live_locs[idx as usize]),
+        match self.fwd.get(&row_key(row)) {
+            Some(&idx) => u64::from(self.live_locs[idx as usize]),
             None => row,
         }
     }
@@ -149,8 +157,8 @@ impl BankRit {
         if location >= self.rows {
             return location;
         }
-        match self.rev.get(location as u32) {
-            Some(idx) => u64::from(self.live[idx as usize]),
+        match self.rev.get(&row_key(location)) {
+            Some(&idx) => u64::from(self.live[idx as usize]),
             None => location,
         }
     }
@@ -159,7 +167,7 @@ impl BankRit {
     #[inline]
     #[must_use]
     pub fn is_remapped(&self, row: u64) -> bool {
-        row < self.rows && self.fwd.get(row as u32).is_some()
+        row < self.rows && self.fwd.contains_key(&row_key(row))
     }
 
     /// Number of live (non-identity) mappings.
@@ -238,21 +246,21 @@ impl BankRit {
         if idx < last {
             self.fwd.insert(self.live[idx], idx as u32);
             let moved_loc = self.live_locs[idx];
-            if self.rev.get(moved_loc) == Some(last as u32) {
+            if self.rev.get(&moved_loc) == Some(&(last as u32)) {
                 self.rev.insert(moved_loc, idx as u32);
             }
         }
     }
 
     fn set_mapping(&mut self, row: u64, location: u64, epoch: u64) {
-        let key_row = row as u32;
+        let key_row = row_key(row);
         if row == location {
             // Restore identity: drop the row's mapping and, when it still
             // points here, the reverse entry of the location it vacates.
-            if let Some(idx) = self.fwd.remove(key_row) {
+            if let Some(idx) = self.fwd.remove(&key_row) {
                 let loc = self.live_locs[idx as usize];
-                if self.rev.get(loc) == Some(idx) {
-                    self.rev.remove(loc);
+                if self.rev.get(&loc) == Some(&idx) {
+                    self.rev.remove(&loc);
                 }
                 self.live_swap_remove(idx as usize);
             }
@@ -260,13 +268,13 @@ impl BankRit {
             // Window counts stay far below 2^32 over any simulated run; the
             // saturation only defends the cast.
             let encoded = u32::try_from(epoch + 1).unwrap_or(u32::MAX);
-            let key_loc = location as u32;
-            if let Some(idx) = self.fwd.get(key_row) {
+            let key_loc = row_key(location);
+            if let Some(&idx) = self.fwd.get(&key_row) {
                 let i = idx as usize;
                 let old_loc = self.live_locs[i];
                 if old_loc != key_loc {
-                    if self.rev.get(old_loc) == Some(idx) {
-                        self.rev.remove(old_loc);
+                    if self.rev.get(&old_loc) == Some(&idx) {
+                        self.rev.remove(&old_loc);
                     }
                     self.live_locs[i] = key_loc;
                     self.rev.insert(key_loc, idx);
@@ -352,8 +360,8 @@ impl BankRit {
         self.live.iter().enumerate().all(|(pos, &r)| {
             self.live_locs[pos] != r
                 && self.live_epochs[pos] != 0
-                && self.fwd.get(r) == Some(pos as u32)
-                && self.rev.get(self.live_locs[pos]) == Some(pos as u32)
+                && self.fwd.get(&r) == Some(&(pos as u32))
+                && self.rev.get(&self.live_locs[pos]) == Some(&(pos as u32))
         })
     }
 }
@@ -548,7 +556,7 @@ mod tests {
             .remapped_rows()
             .into_iter()
             .filter(|&row| {
-                let idx = r.fwd.get(row as u32).expect("remapped row is indexed");
+                let idx = r.fwd[&row_key(row)];
                 u64::from(r.live_epochs[idx as usize]) < 3 + 1
             })
             .collect();

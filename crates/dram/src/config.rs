@@ -187,7 +187,8 @@ impl DramConfig {
     /// # Errors
     ///
     /// Returns [`crate::DramError::InvalidConfig`] if any geometry field is
-    /// zero or the row size is not a multiple of the line size.
+    /// zero, a bank has more than `u32::MAX` rows, or the row size is not a
+    /// multiple of the line size.
     pub fn validate(&self) -> Result<(), crate::DramError> {
         if self.channels == 0 || self.ranks_per_channel == 0 || self.banks_per_rank == 0 {
             return Err(crate::DramError::InvalidConfig(
@@ -198,6 +199,13 @@ impl DramConfig {
             return Err(crate::DramError::InvalidConfig(
                 "rows per bank, row size and line size must all be non-zero".to_string(),
             ));
+        }
+        if self.rows_per_bank > u64::from(u32::MAX) {
+            // The per-row tables key rows by 32-bit address.
+            return Err(crate::DramError::InvalidConfig(format!(
+                "rows per bank must be at most {} so every row address fits 32 bits",
+                u32::MAX
+            )));
         }
         if !self.row_size_bytes.is_multiple_of(self.line_size_bytes) {
             return Err(crate::DramError::InvalidConfig(
@@ -281,6 +289,14 @@ mod tests {
     fn validate_rejects_misaligned_line() {
         let c = DramConfig { line_size_bytes: 48, ..DramConfig::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_rows_per_bank_by_32_bit_row_addresses() {
+        let rows = |rows_per_bank| DramConfig { rows_per_bank, ..DramConfig::default() };
+        assert!(rows(0).validate().is_err());
+        assert!(rows(1 << 32).validate().is_err());
+        assert!(rows(u64::from(u32::MAX)).validate().is_ok());
     }
 
     #[test]

@@ -404,7 +404,9 @@ impl ShardManifest {
         json.get("shard_index").is_some()
     }
 
-    /// Decode a shard manifest; `origin` names the source in errors.
+    /// Decode a shard manifest; `origin` names the source in errors. A
+    /// `total_cells` that differs from the embedded spec's grid is a
+    /// [`CampaignError::Mismatch`]: the spec changed since planning.
     pub fn from_json(origin: &str, json: &Json) -> Result<Self, CampaignError> {
         let corrupt = |message: String| CampaignError::Corrupt(format!("{origin}: {message}"));
         let str_of = |key: &str| {
@@ -419,16 +421,26 @@ impl ShardManifest {
                 .map(|v| v as usize)
                 .ok_or_else(|| corrupt(format!("'{key}' must be an integer")))
         };
+        let spec_json = json.get("spec").ok_or_else(|| corrupt("missing 'spec'".to_string()))?;
+        let spec = ExperimentSpec::from_json(spec_json)
+            .map_err(|e| corrupt(format!("embedded spec: {e}")))?;
+        // The ranges are checked against `total_cells`, so check that
+        // against the spec's grid before any range is decoded.
         let total_cells = int_of("total_cells")?;
+        let grid_cells =
+            spec.to_experiment().map_err(|e| corrupt(format!("embedded spec: {e}")))?.job_count();
+        if total_cells != grid_cells {
+            return Err(CampaignError::Mismatch(format!(
+                "{origin}: shard was planned over {total_cells} cells but the spec now \
+                 resolves to {grid_cells}; re-plan the campaign"
+            )));
+        }
         let cells = decode_ranges(
             "cells",
             json.get("cells").ok_or_else(|| corrupt("missing 'cells'".to_string()))?,
             total_cells,
         )
         .map_err(corrupt)?;
-        let spec_json = json.get("spec").ok_or_else(|| corrupt("missing 'spec'".to_string()))?;
-        let spec = ExperimentSpec::from_json(spec_json)
-            .map_err(|e| corrupt(format!("embedded spec: {e}")))?;
         Ok(Self {
             campaign: str_of("campaign")?,
             shard_index: int_of("shard_index")?,
@@ -696,7 +708,20 @@ impl CheckpointSink {
         cells: &[usize],
     ) -> Result<(Self, ResumeState), CampaignError> {
         let manifest_path = CampaignManifest::path_for(out);
-        let mut manifest = CampaignManifest::load(&manifest_path)?;
+        let json = load_manifest(&manifest_path)?;
+        // The ranges are checked against the recorded `total_cells`, so
+        // check that against this run's grid before any range is decoded.
+        if let Some(recorded) = json.get("total_cells").and_then(Json::as_u64) {
+            if recorded != total_cells as u64 {
+                return Err(CampaignError::Mismatch(format!(
+                    "{} was written for a grid of {recorded} cells, not {total_cells}; \
+                     refusing to mix campaigns",
+                    manifest_path.display()
+                )));
+            }
+        }
+        let mut manifest =
+            CampaignManifest::from_json(&manifest_path.display().to_string(), &json)?;
         if manifest.campaign != campaign {
             return Err(CampaignError::Mismatch(format!(
                 "{} records campaign '{}', not '{campaign}'",
@@ -704,7 +729,7 @@ impl CheckpointSink {
                 manifest.campaign
             )));
         }
-        if manifest.total_cells != total_cells || manifest.cells != cells {
+        if manifest.cells != cells {
             return Err(CampaignError::Mismatch(format!(
                 "{} was written for a different cell set ({} of {} grid cells); \
                  refusing to mix campaigns",
@@ -907,7 +932,10 @@ mod tests {
     #[test]
     fn manifests_reject_out_of_grid_ranges_before_expanding_them() {
         let shard = |cells: &str| {
-            let spec = ExperimentSpec::parse(r#"{"name": "demo", "workloads": ["gups"]}"#).unwrap();
+            let spec = ExperimentSpec::parse(
+                r#"{"name": "demo", "defenses": ["srs", "scale-srs"], "workloads": ["gups", "gcc"]}"#,
+            )
+            .unwrap();
             let manifest = ShardManifest {
                 campaign: "demo".to_string(),
                 shard_index: 0,
@@ -938,6 +966,22 @@ mod tests {
             assert!(matches!(err, CampaignError::Corrupt(_)), "{completed}: {err}");
             assert!(err.to_string().contains("completed"), "{err}");
         }
+
+        // A results manifest whose own `total_cells` admits the huge range:
+        // resume compares it with the run's grid before decoding a range.
+        let dir = scratch("forged-total");
+        let out = dir.join("out.jsonl");
+        std::fs::write(&out, "").unwrap();
+        let forged = CampaignManifest::new("demo", 4, (0..4).collect())
+            .to_json()
+            .to_compact()
+            .replace("[[0, 3]]", "[[0, 4611686018427387904]]")
+            .replace("\"total_cells\": 4,", "\"total_cells\": 4611686018427387905,");
+        assert!(forged.contains("4611686018427387905"), "{forged}");
+        std::fs::write(CampaignManifest::path_for(&out), forged).unwrap();
+        let err = CheckpointSink::resume(&out, "demo", 4, &[0, 1, 2, 3]).unwrap_err();
+        assert!(matches!(err, CampaignError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("4611686018427387905 cells"), "{err}");
     }
 
     #[test]

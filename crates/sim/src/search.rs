@@ -368,6 +368,9 @@ pub fn run_search(
         .search
         .clone()
         .ok_or_else(|| SearchError::Spec(SpecError::field("search", "spec has no search block")))?;
+    // Resolve the grid before the stream exists, so a spec that no cell
+    // can run leaves no output behind.
+    spec.to_experiment()?;
     let config = search_spec.to_search_config();
     let threads = if threads == 0 { crate::scenario::default_threads() } else { threads };
     let manifest_path = manifest_path(out);

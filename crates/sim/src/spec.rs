@@ -407,9 +407,10 @@ impl ExperimentSpec {
     /// Resolve every registry name and build the equivalent [`Experiment`].
     ///
     /// Unlike the builder API (whose [`Experiment::scenarios`] panics on an
-    /// empty required axis), resolution reports empty axes and unknown names
-    /// as structured [`SpecError`]s, so a bad spec file is a diagnosable
-    /// user error rather than a crash.
+    /// empty required axis), resolution reports empty axes, unknown names
+    /// and a patched DRAM geometry that fails `DramConfig::validate` as
+    /// structured [`SpecError`]s, so a bad spec file is a diagnosable user
+    /// error rather than a crash or a grid of failed cells.
     pub fn to_experiment(&self) -> Result<Experiment, SpecError> {
         let defenses: Vec<DefenseKind> =
             self.defenses.iter().map(|n| parse_defense(n)).collect::<Result<_, _>>()?;
@@ -428,6 +429,11 @@ impl ExperimentSpec {
                 return Err(SpecError::EmptyAxis(field));
             }
         }
+        // Only the preset and the patch set the DRAM geometry; no axis
+        // changes it, so one check refuses a geometry every cell would.
+        let mut base = self.preset.base_config(defenses[0], self.thresholds[0]);
+        self.patch.apply(&mut base);
+        base.dram.validate().map_err(|e| SpecError::field("patch", e.to_string()))?;
         let mut experiment = Experiment::new()
             .with_defenses(defenses)
             .with_trackers(trackers)

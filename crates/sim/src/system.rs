@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fxhash::FxHashSet;
+use fxhash::{FxHashMap, FxHashSet};
 use srs_attack::engine::{AttackSpec, AttackerCore, AttackerStats};
 use srs_core::{build_defense, DefenseKind, MitigationAction, RowOpKind, RowSwapDefense};
 use srs_cpu::{AccessToken, CoreStatus, RequestSource, TraceCore};
@@ -44,102 +44,9 @@ struct DeferredAccess {
     origin: Option<(usize, AccessToken)>,
 }
 
-/// Exact per-row activation counts for one bank over the current refresh
-/// window: a linear-probed open-addressed table of `(row + 1, count)` pairs
-/// keyed by a Fibonacci hash.
-///
-/// This sits on the per-activation hot path, where a general-purpose hash
-/// map pays for its abstraction twice — hasher plumbing on every lookup and
-/// a non-deterministic-by-default seed. The dedicated table is a pair of
-/// flat arrays the increment touches at a single probe position in the
-/// common case, and the maximum is taken by scanning the dense count array
-/// at window rollover instead of comparing on every activation (the counts
-/// are write-only until then).
-#[derive(Debug, Clone)]
-struct WindowRowCounts {
-    /// `row + 1` of each occupied probe position, 0 = empty.
-    keys: Vec<u64>,
-    /// Activation count of the row at the same probe position; zero wherever
-    /// `keys` is zero, so a maximum scan can sweep it without consulting the
-    /// keys.
-    counts: Vec<u64>,
-    /// Occupied positions; the table doubles at 7/8 load.
-    len: usize,
-}
-
-impl WindowRowCounts {
-    /// Initial probe positions per bank shard; grows by doubling. 512 covers
-    /// the distinct-rows-per-bank-per-window of every packaged workload
-    /// without rehashing.
-    const INITIAL_SLOTS: usize = 512;
-
-    fn new() -> Self {
-        Self { keys: vec![0; Self::INITIAL_SLOTS], counts: vec![0; Self::INITIAL_SLOTS], len: 0 }
-    }
-
-    /// Fibonacci-hash `key` into the current table.
-    #[inline]
-    fn bucket_of(key: u64, slots: usize) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (slots - 1)
-    }
-
-    /// Count one activation of `row`.
-    #[inline]
-    fn increment(&mut self, row: u64) {
-        if self.len * 8 >= self.keys.len() * 7 {
-            self.grow();
-        }
-        let key = row + 1;
-        let mask = self.keys.len() - 1;
-        let mut pos = Self::bucket_of(key, self.keys.len());
-        loop {
-            let k = self.keys[pos];
-            if k == key {
-                self.counts[pos] += 1;
-                return;
-            }
-            if k == 0 {
-                self.keys[pos] = key;
-                self.counts[pos] = 1;
-                self.len += 1;
-                return;
-            }
-            pos = (pos + 1) & mask;
-        }
-    }
-
-    /// The largest per-row count in the table (0 when empty): empty probe
-    /// positions hold a zero count, so this is a max-reduction over the
-    /// dense count array.
-    fn max_count(&self) -> u64 {
-        self.counts.iter().copied().max().unwrap_or(0)
-    }
-
-    fn clear(&mut self) {
-        if self.len > 0 {
-            self.keys.fill(0);
-            self.counts.fill(0);
-            self.len = 0;
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_slots]);
-        let old_counts = std::mem::replace(&mut self.counts, vec![0; new_slots]);
-        let mask = new_slots - 1;
-        for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key == 0 {
-                continue;
-            }
-            let mut pos = Self::bucket_of(key, new_slots);
-            while self.keys[pos] != 0 {
-                pos = (pos + 1) & mask;
-            }
-            self.keys[pos] = key;
-            self.counts[pos] = count;
-        }
-    }
+/// The largest per-row count of one bank's window shard (0 when empty).
+fn window_max(shard: &FxHashMap<u32, u32>) -> u64 {
+    shard.values().max().map_or(0, |&count| u64::from(count))
 }
 
 /// The feedback a tick's demand activations queue for after the controller
@@ -237,9 +144,10 @@ pub struct System {
     deferred: VecDeque<DeferredAccess>,
     next_window_ns: u64,
     /// Per-bank shards of per-logical-row activation counts for the current
-    /// refresh window. Sharding by bank keeps each table small and lets the
-    /// window rollover reset state bank by bank without a global rebuild.
-    bank_activations: Vec<WindowRowCounts>,
+    /// refresh window, keyed by 32-bit row address. Sharding by bank keeps
+    /// each map small and lets the window rollover reset state bank by bank
+    /// without a global rebuild.
+    bank_activations: Vec<FxHashMap<u32, u32>>,
     /// Maximum per-row activation count observed in any completed stretch of
     /// a refresh window, folded from the shards at each rollover and once
     /// more when the run ends — the per-activation path only increments.
@@ -319,7 +227,7 @@ struct TickObserver<'a> {
     attackers: &'a mut [AttackerCore],
     security: Option<&'a mut SecurityTracker>,
     pending_reads: &'a mut usize,
-    bank_activations: &'a mut [WindowRowCounts],
+    bank_activations: &'a mut [FxHashMap<u32, u32>],
     /// Branch probes of the sharing-aware executor (empty outside shared
     /// trunk runs).
     probes: &'a mut [MitigationProbe],
@@ -376,7 +284,11 @@ impl TickObserver<'_> {
     /// where the mitigation's own row movements do not feed back into its
     /// tracker).
     fn track_demand(&mut self, event: &ActivationEvent) {
-        self.bank_activations[event.bank.index()].increment(event.logical_row);
+        // Decoded rows lie below `rows_per_bank`, which
+        // `DramConfig::validate` bounds by `u32::MAX`.
+        let row = u32::try_from(event.logical_row).unwrap_or(u32::MAX);
+        let count = self.bank_activations[event.bank.index()].entry(row).or_insert(0);
+        *count = count.saturating_add(1);
         // Branch probes see the identical demand-activation stream a
         // from-scratch run of their cell would feed its tracker. The first
         // decision that feeds back marks the divergence tick; the probe
@@ -674,7 +586,7 @@ impl System {
             pending_reads: 0,
             deferred: VecDeque::new(),
             next_window_ns: window,
-            bank_activations: vec![WindowRowCounts::new(); total_banks],
+            bank_activations: vec![FxHashMap::default(); total_banks],
             max_row_activations: 0,
             rows_pinned: 0,
             pinned_hits: 0,
@@ -884,7 +796,7 @@ impl System {
             }
             self.pinned_rows.clear();
             for shard in &mut self.bank_activations {
-                self.max_row_activations = self.max_row_activations.max(shard.max_count());
+                self.max_row_activations = self.max_row_activations.max(window_max(shard));
                 shard.clear();
             }
             if let Some(security) = self.security.as_mut() {
@@ -1403,7 +1315,7 @@ impl System {
         // only increments, so the running maximum is settled here and at
         // each rollover, never per event.
         for shard in &self.bank_activations {
-            self.max_row_activations = self.max_row_activations.max(shard.max_count());
+            self.max_row_activations = self.max_row_activations.max(window_max(shard));
         }
         for slot in &mut self.core_finish_ns {
             if slot.is_none() {

@@ -6,11 +6,13 @@
 //! classic Misra-Gries guarantee requires `entries ≥ ACT_max / TS`.
 //!
 //! The table is stored as flat slot arrays (rows and counters side by side)
-//! with a small open-addressed index mapping row → slot, mirroring the
-//! direct-indexed SRAM structure of the hardware: the per-activation lookup
-//! is a couple of contiguous loads, the eviction scan sweeps a dense counter
-//! array, an epoch reset is a memset of the index, and a snapshot of the
-//! tracker is a plain memcpy of a few flat `Vec`s.
+//! with an `FxHashMap<u32, u32>` index from 32-bit row address to slot. The
+//! eviction scan sweeps the dense counter array, so the slot order — never
+//! the map's iteration order — picks victims; an epoch reset empties the
+//! slots and the index, and the index grows only with the rows a bank
+//! actually sees.
+
+use fxhash::FxHashMap;
 
 use crate::scan;
 use crate::tracker::{AggressorTracker, TrackerDecision};
@@ -47,34 +49,24 @@ impl MisraGriesConfig {
     }
 }
 
-/// Fibonacci-hash a row tag into a table of `1 << bits` slots: one multiply,
-/// top bits as the bucket — deterministic, seedless, and well-spread for the
-/// sequential/strided row patterns DRAM traffic produces.
+/// `row` as a key of the row → slot index. `DramConfig::validate` bounds a
+/// bank by `u32::MAX` rows, so every row of a valid bank converts exactly
+/// and `u32::MAX` itself names no row: rows outside every valid bank
+/// saturate to it and share one counter, which can only overestimate.
 #[inline]
-fn bucket_of(row: u64, bits: u32) -> usize {
-    (row.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+fn row_key(row: u64) -> u32 {
+    u32::try_from(row).unwrap_or(u32::MAX)
 }
 
-/// One bank's tracking table: dense slot storage plus an open-addressed
-/// row → slot index (linear probing, backward-shift deletion).
+/// One bank's tracking table: dense slot storage plus a row → slot index.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct BankTable {
-    /// Row tag of each live slot (`0..len`).
-    rows: Vec<u64>,
-    /// Estimated counter of each live slot (`0..len`).
+    /// Row key of each live slot.
+    rows: Vec<u32>,
+    /// Estimated counter of each live slot, parallel to `rows`.
     counts: Vec<u64>,
-    /// Open-addressed index: `slot + 1` keyed by row hash, 0 = empty. Always
-    /// a power of two at least twice `capacity`, so probe chains stay short
-    /// even with the table full.
-    index_slots: Vec<u32>,
-    /// Row tag of each occupied index bucket, mirrored beside the slot so a
-    /// probe compares tags without a dependent load into the slot arrays —
-    /// the per-activation lookup touches only bucket-indexed memory.
-    index_rows: Vec<u64>,
-    /// log2 of `index_slots.len()`.
-    index_bits: u32,
-    /// Live slots.
-    len: usize,
+    /// Row key → slot of every live slot.
+    index: FxHashMap<u32, u32>,
     spillover: u64,
     capacity: usize,
     /// A lower bound on the smallest counter in the table. Counters only
@@ -98,14 +90,10 @@ struct BankTable {
 impl BankTable {
     fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let slots = (2 * capacity).next_power_of_two().max(8);
         Self {
             rows: Vec::with_capacity(capacity),
             counts: Vec::with_capacity(capacity),
-            index_slots: vec![0; slots],
-            index_rows: vec![0; slots],
-            index_bits: slots.trailing_zeros(),
-            len: 0,
+            index: FxHashMap::default(),
             spillover: 0,
             capacity,
             min_bound: 0,
@@ -118,98 +106,45 @@ impl BankTable {
     /// resumed scan comes up empty.
     #[inline]
     fn find_victim(&self, bound: u64) -> Option<usize> {
-        let start = if self.scan_from < self.len { self.scan_from } else { 0 };
-        scan::first_at_or_below(&self.counts[start..self.len], bound)
+        let start = if self.scan_from < self.counts.len() { self.scan_from } else { 0 };
+        scan::first_at_or_below(&self.counts[start..], bound)
             .map(|v| start + v)
             .or_else(|| scan::first_at_or_below(&self.counts[..start], bound))
     }
 
-    /// The slot currently holding `row`, if any.
+    /// The slot currently holding the row keyed `key`, if any.
     #[inline]
-    fn slot_of(&self, row: u64) -> Option<usize> {
-        let mask = self.index_slots.len() - 1;
-        let mut pos = bucket_of(row, self.index_bits);
-        loop {
-            let s = self.index_slots[pos];
-            if s == 0 {
-                return None;
-            }
-            if self.index_rows[pos] == row {
-                return Some((s - 1) as usize);
-            }
-            pos = (pos + 1) & mask;
-        }
+    fn slot_of(&self, key: u32) -> Option<usize> {
+        self.index.get(&key).map(|&slot| slot as usize)
     }
 
-    /// Point the index at `slot` for its current row tag.
-    fn index_insert(&mut self, slot: usize) {
-        let mask = self.index_slots.len() - 1;
-        let row = self.rows[slot];
-        let mut pos = bucket_of(row, self.index_bits);
-        while self.index_slots[pos] != 0 {
-            pos = (pos + 1) & mask;
+    /// Seat the row keyed `key` in `slot` at counter `count`: a live slot
+    /// evicts its row from the index, and the slot one past the end
+    /// appends.
+    fn seat(&mut self, slot: usize, key: u32, count: u64) {
+        if slot < self.rows.len() {
+            self.index.remove(&self.rows[slot]);
+            self.rows[slot] = key;
+            self.counts[slot] = count;
+        } else {
+            self.rows.push(key);
+            self.counts.push(count);
         }
-        self.index_slots[pos] = (slot + 1) as u32;
-        self.index_rows[pos] = row;
-    }
-
-    /// Remove `row` from the index using backward-shift deletion, keeping
-    /// every remaining probe chain intact without tombstones.
-    fn index_remove(&mut self, row: u64) {
-        let mask = self.index_slots.len() - 1;
-        let mut pos = bucket_of(row, self.index_bits);
-        loop {
-            let s = self.index_slots[pos];
-            if s == 0 {
-                return;
-            }
-            if self.index_rows[pos] == row {
-                break;
-            }
-            pos = (pos + 1) & mask;
-        }
-        let mut hole = pos;
-        let mut probe = (pos + 1) & mask;
-        while self.index_slots[probe] != 0 {
-            let home = bucket_of(self.index_rows[probe], self.index_bits);
-            // The entry may move back into the hole only if its home bucket
-            // does not lie strictly between the hole and its current slot
-            // (cyclic comparison).
-            let between = if hole <= probe {
-                home > hole && home <= probe
-            } else {
-                home > hole || home <= probe
-            };
-            if !between {
-                self.index_slots[hole] = self.index_slots[probe];
-                self.index_rows[hole] = self.index_rows[probe];
-                hole = probe;
-            }
-            probe = (probe + 1) & mask;
-        }
-        self.index_slots[hole] = 0;
+        self.index.insert(key, slot as u32);
     }
 
     /// Returns the row's new estimated count, counting an activation the
     /// full table could not attribute to a dedicated slot in
     /// `saturations`.
     fn observe(&mut self, row: u64, saturations: &mut u64) -> u64 {
-        if let Some(slot) = self.slot_of(row) {
+        let key = row_key(row);
+        if let Some(slot) = self.slot_of(key) {
             self.counts[slot] += 1;
             return self.counts[slot];
         }
-        if self.len < self.capacity {
+        if self.rows.len() < self.capacity {
             let start = self.spillover + 1;
-            let slot = self.len;
-            if slot == self.rows.len() {
-                self.rows.push(row);
-                self.counts.push(start);
-            } else {
-                self.rows[slot] = row;
-                self.counts[slot] = start;
-            }
-            self.len += 1;
-            self.index_insert(slot);
+            self.seat(self.rows.len(), key, start);
             self.min_bound = self.min_bound.min(start);
             return start;
         }
@@ -220,71 +155,46 @@ impl BankTable {
         if self.min_bound <= self.spillover {
             let spillover = self.spillover;
             if let Some(victim) = self.find_victim(spillover) {
-                let old_row = self.rows[victim];
-                self.index_remove(old_row);
                 let start = self.spillover + 1;
-                self.rows[victim] = row;
-                self.counts[victim] = start;
-                self.index_insert(victim);
+                self.seat(victim, key, start);
                 self.scan_from = victim + 1;
                 return start;
             }
             // The scan proved every counter exceeds the spillover level;
             // remember the exact minimum so future misses skip the scan
             // until the spillover counter catches up.
-            self.min_bound = scan::min_value(&self.counts[..self.len]).unwrap_or(u64::MAX);
+            self.min_bound = scan::min_value(&self.counts).unwrap_or(u64::MAX);
         }
         self.spillover += 1;
         *saturations += 1;
         self.spillover
     }
 
+    /// Restart a mitigated row's counter from the spillover level,
+    /// mirroring Graphene's counter reset on a swap.
+    ///
+    /// The row always holds a slot. A counter that reaches the threshold
+    /// fires and restarts at the spillover level, so no slot stays at or
+    /// above the threshold; the spillover counter grows only while every
+    /// slot exceeds it, so it never reaches the threshold either, and a
+    /// row that only the spillover counter estimates never fires.
     fn reset_row(&mut self, row: u64) {
-        // After a mitigation the row starts counting from the spillover
-        // level again, mirroring Graphene's counter reset on a swap.
-        if let Some(slot) = self.slot_of(row) {
+        let slot = self.slot_of(row_key(row));
+        debug_assert!(slot.is_some(), "a mitigated row holds a slot");
+        if let Some(slot) = slot {
             self.counts[slot] = self.spillover;
-        } else if self.len < self.capacity {
-            let slot = self.len;
-            if slot == self.rows.len() {
-                self.rows.push(row);
-                self.counts.push(self.spillover);
-            } else {
-                self.rows[slot] = row;
-                self.counts[slot] = self.spillover;
-            }
-            self.len += 1;
-            self.index_insert(slot);
-        } else {
-            // Full table: the mitigated row earns a slot through the same
-            // Misra-Gries eviction rule `observe` applies — replace an
-            // entry at or below the spillover level, so the reset row's
-            // counter subsequently tracks its *own* activations instead of
-            // riding the shared spillover counter. If every tracked row
-            // strictly exceeds the spillover level, each of them carries
-            // more evidence than the freshly reset row and the row
-            // (correctly, for a Misra-Gries summary) stays untracked at
-            // the spillover estimate.
-            let spillover = self.spillover;
-            if let Some(victim) = self.find_victim(spillover) {
-                let old_row = self.rows[victim];
-                self.index_remove(old_row);
-                self.rows[victim] = row;
-                self.counts[victim] = spillover;
-                self.index_insert(victim);
-                self.scan_from = victim + 1;
-            }
+            self.min_bound = self.min_bound.min(self.spillover);
         }
-        self.min_bound = self.min_bound.min(self.spillover);
     }
 
     fn estimate(&self, row: u64) -> u64 {
-        self.slot_of(row).map_or(self.spillover, |slot| self.counts[slot])
+        self.slot_of(row_key(row)).map_or(self.spillover, |slot| self.counts[slot])
     }
 
     fn clear(&mut self) {
-        self.index_slots.fill(0);
-        self.len = 0;
+        self.rows.clear();
+        self.counts.clear();
+        self.index.clear();
         self.spillover = 0;
         self.min_bound = 0;
         self.scan_from = 0;
@@ -324,7 +234,7 @@ impl MisraGriesTracker {
     /// Panics if `bank` is out of range.
     #[must_use]
     pub fn tracked_rows(&self, bank: usize) -> usize {
-        self.banks[bank].len
+        self.banks[bank].rows.len()
     }
 }
 
@@ -375,7 +285,7 @@ impl AggressorTracker for MisraGriesTracker {
     }
 
     fn occupancy(&self) -> u64 {
-        self.banks.iter().map(|b| b.len as u64).sum()
+        self.banks.iter().map(|b| b.rows.len() as u64).sum()
     }
 
     fn saturation_events(&self) -> u64 {
@@ -385,6 +295,8 @@ impl AggressorTracker for MisraGriesTracker {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn tracker(ts: u64) -> MisraGriesTracker {
@@ -483,41 +395,76 @@ mod tests {
         assert!(t.estimated_count(0, 7777) >= 5_000, "estimate too low");
     }
 
+    /// The index holds exactly `len` entries, and every live slot's row
+    /// maps back to that slot (so the live rows are distinct).
+    fn assert_index_consistent(b: &BankTable) {
+        assert_eq!(b.index.len(), b.rows.len(), "the index must hold exactly the live slots");
+        for slot in 0..b.rows.len() {
+            assert_eq!(b.slot_of(b.rows[slot]), Some(slot), "slot {slot} lost its index entry");
+        }
+    }
+
     #[test]
     fn eviction_churn_keeps_the_index_consistent() {
         // A table of 8 slots thrashed by hundreds of distinct rows: every
-        // evicted row must become unfindable, every inserted row findable,
-        // exercising backward-shift deletion across wrapped probe chains.
+        // evicted row must become unfindable, every inserted row findable.
         let mut b = BankTable::new(8);
         let mut saturations = 0;
         for i in 0..2_000u64 {
             b.observe(i * 131, &mut saturations);
-            assert!(b.len <= 8);
+            assert!(b.rows.len() <= 8);
         }
         // Every slot's row must be findable through the index and point back
         // at its own slot.
-        for slot in 0..b.len {
-            assert_eq!(b.slot_of(b.rows[slot]), Some(slot), "slot {slot} lost its index entry");
+        assert_index_consistent(&b);
+        let live: std::collections::BTreeSet<u32> = b.rows.iter().copied().collect();
+        assert_eq!(live.len(), b.rows.len(), "duplicate rows in the slot array");
+        // Each index entry mirrors its slot's row.
+        for (&row, &slot) in &b.index {
+            assert_eq!(b.rows[slot as usize], row);
         }
-        let live: std::collections::BTreeSet<u64> = b.rows[..b.len].iter().copied().collect();
-        assert_eq!(live.len(), b.len, "duplicate rows in the slot array");
-        // The index holds exactly `len` non-empty buckets, each mirroring
-        // its slot's row tag.
-        assert_eq!(b.index_slots.iter().filter(|&&s| s != 0).count(), b.len);
-        for (pos, &s) in b.index_slots.iter().enumerate() {
-            if s != 0 {
-                assert_eq!(b.index_rows[pos], b.rows[(s - 1) as usize]);
+    }
+
+    proptest! {
+        /// Mitigation resets (including the full-table eviction of
+        /// `reset_row`) and epoch resets rewrite the index as well as
+        /// `observe` does: after every step of an arbitrary activation
+        /// stream over at most 64 rows, with a threshold low enough that
+        /// mitigations fire, each bank's index still maps exactly its live
+        /// slots.
+        #[test]
+        fn mitigation_and_epoch_resets_keep_the_index_consistent(
+            entries in 4usize..17,
+            threshold in 2u64..12,
+            ops in prop::collection::vec((0usize..2, 0u64..64, 0u32..40), 1..600),
+        ) {
+            let mut t = MisraGriesTracker::new(MisraGriesConfig {
+                swap_threshold: threshold,
+                entries_per_bank: entries,
+                banks: 2,
+                row_tag_bits: 17,
+                counter_bits: 13,
+            });
+            for (bank, row, draw) in ops {
+                if draw == 0 {
+                    t.reset_epoch();
+                } else {
+                    t.record_activation(bank, row);
+                }
+                for b in &t.banks {
+                    assert_index_consistent(b);
+                }
             }
         }
     }
 
     #[test]
     fn reset_on_a_full_table_evicts_a_spillover_level_entry() {
-        // Saturate a 4-slot table, then drive the spillover counter to the
-        // threshold so an *untracked* row fires: the reset must seat the
-        // fired row in a slot (evicting a spillover-level entry) so its
-        // counter subsequently grows only with its own activations rather
-        // than riding the shared spillover counter.
+        // Sweep a 4-slot table until a row fires on the full table: the row
+        // entered by evicting a spillover-level entry, keeps its slot
+        // through the reset, and its counter subsequently grows only with
+        // its own activations rather than riding the shared spillover
+        // counter.
         let mut t = MisraGriesTracker::new(MisraGriesConfig {
             swap_threshold: 40,
             entries_per_bank: 4,
@@ -535,10 +482,10 @@ mod tests {
         }
         let row = fired_row.expect("a saturating sweep must eventually fire");
         assert!(
-            t.banks[0].slot_of(row).is_some(),
+            t.banks[0].slot_of(row_key(row)).is_some(),
             "the mitigated row must own a slot after its counter reset"
         );
-        let slot = t.banks[0].slot_of(row).unwrap();
+        let slot = t.banks[0].slot_of(row_key(row)).unwrap();
         let before = t.banks[0].counts[slot];
         let spill_before = t.banks[0].spillover;
         // Another row's miss moves spillover but not the reset row's count.
