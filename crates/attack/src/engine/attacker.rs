@@ -1,22 +1,22 @@
 //! The closed-loop adversarial request source.
 //!
-//! An [`AttackerCore`] implements the same issue interface as
-//! [`srs_cpu::TraceCore`] ([`RequestSource`]) but generates its accesses
-//! *reactively*: it interprets a compiled [`PatternProgram`], observes the
-//! controller's activation stream — in particular the maintenance
-//! activations a row-swap defense performs — and adapts. A Juggernaut
-//! program counts observed mitigations to pace its biasing rounds and
-//! switches to the random-guess phase once enough latent activations have
-//! been harvested; every attacker also watches its own read completions for
-//! the latency spikes a multi-microsecond swap operation imprints on
-//! queued demand traffic.
+//! An [`AttackerCore`] speaks the same issue protocol as
+//! [`srs_cpu::TraceCore`] (`try_issue`, `complete_read`, `next_ready_ns`)
+//! but generates its accesses *reactively*: it interprets a compiled
+//! [`PatternProgram`], observes the controller's activation stream — in
+//! particular the maintenance activations a row-swap defense performs —
+//! and adapts. A Juggernaut program counts observed mitigations to pace
+//! its biasing rounds and switches to the random-guess phase once enough
+//! latent activations have been harvested; every attacker also watches its
+//! own read completions for the latency spikes a multi-microsecond swap
+//! operation imprints on queued demand traffic.
 //!
 //! All adaptive choices are drawn from a seeded RNG, so a run is fully
 //! deterministic under (`pattern`, `seed`, geometry).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use srs_cpu::{AccessToken, CoreStatus, MemoryIssue, RequestSource};
+use srs_cpu::{AccessToken, MemoryIssue};
 use srs_dram::{AddressMapper, BankId, DramConfig};
 
 use crate::engine::pattern::{AttackSpec, PatternProgram};
@@ -143,17 +143,6 @@ impl AttackerCore {
         matches!(self.phase, Phase::Guess { .. })
     }
 
-    /// A short, stable label for the attacker's current program phase
-    /// (telemetry track names).
-    #[must_use]
-    pub fn phase_label(&self) -> &'static str {
-        if self.in_guess_phase() {
-            "guess"
-        } else {
-            "schedule"
-        }
-    }
-
     fn monitored(&self, bank: usize) -> bool {
         self.program.banks.contains(&bank)
     }
@@ -201,10 +190,10 @@ impl AttackerCore {
             }
         }
     }
-}
 
-impl RequestSource for AttackerCore {
-    fn try_issue(&mut self, now: u64) -> Option<MemoryIssue> {
+    /// Issue the next read of the program if the attacker is ready at
+    /// `now`: paced by the issue gap and bounded by its outstanding reads.
+    pub fn try_issue(&mut self, now: u64) -> Option<MemoryIssue> {
         if now < self.ready_at_ns || self.outstanding.len() >= self.max_outstanding {
             return None;
         }
@@ -221,7 +210,9 @@ impl RequestSource for AttackerCore {
         Some(MemoryIssue { token, addr: addr.value(), is_write: false })
     }
 
-    fn complete_read(&mut self, token: AccessToken, now: u64) {
+    /// Report that the read identified by `token` completed at `now`,
+    /// counting it as a latency spike past the threshold.
+    pub fn complete_read(&mut self, token: AccessToken, now: u64) {
         if let Some(idx) = self.outstanding.iter().position(|&(t, _)| t == token) {
             let (_, issued_ns) = self.outstanding.swap_remove(idx);
             if now.saturating_sub(issued_ns) > self.spike_threshold_ns {
@@ -230,21 +221,15 @@ impl RequestSource for AttackerCore {
         }
     }
 
-    fn status(&self, now: u64) -> CoreStatus {
-        if self.outstanding.len() >= self.max_outstanding {
-            CoreStatus::Blocked
-        } else {
-            CoreStatus::ReadyAt(self.ready_at_ns.max(now))
-        }
-    }
-
-    fn is_finished(&self) -> bool {
-        // An attacker never retires a work target; it hammers until the
-        // simulation ends (time cap or first TRH crossing).
-        false
-    }
-
-    fn next_ready_ns(&self, _now: u64) -> Option<u64> {
+    /// The earliest time the attacker could issue again without any
+    /// external event, or `None` if only a read completion can unblock it.
+    ///
+    /// The event-driven engine's contract: `Some(t)` only if nothing about
+    /// the attacker changes before `t` without an external event, and
+    /// `None` only if it is inert until a read completion. An attacker
+    /// never finishes; it hammers until the simulation ends.
+    #[must_use]
+    pub fn next_ready_ns(&self, _now: u64) -> Option<u64> {
         if self.outstanding.len() >= self.max_outstanding {
             // Only a completion event can unblock the attacker; the
             // simulator visits completions anyway.
@@ -254,15 +239,13 @@ impl RequestSource for AttackerCore {
         }
     }
 
-    fn retired_instructions(&self) -> u64 {
-        0
-    }
-
-    fn ipc(&self, _elapsed_ns: u64) -> f64 {
-        0.0
-    }
-
-    fn observe_activation(
+    /// Observe one row activation issued by the memory controller.
+    ///
+    /// `physical_row` is the chip location that was activated and
+    /// `logical_row` the row address as issued by the system;
+    /// `maintenance` marks activations performed by a mitigation operation
+    /// (swap, unswap-swap, place-back) rather than a demand access.
+    pub fn observe_activation(
         &mut self,
         bank: usize,
         _physical_row: u64,
@@ -310,14 +293,6 @@ impl RequestSource for AttackerCore {
             }
         }
     }
-
-    fn wants_feedback(&self) -> bool {
-        true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +329,6 @@ mod tests {
             now += a.issue_gap_ns;
         }
         assert_eq!(tokens.len(), a.max_outstanding);
-        assert_eq!(a.status(now), CoreStatus::Blocked);
         assert_eq!(a.next_ready_ns(now), None);
         a.complete_read(tokens[0], now + 10);
         assert!(a.next_ready_ns(now + 10).is_some());

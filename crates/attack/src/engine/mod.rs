@@ -3,9 +3,10 @@
 //! Everything else in this crate models attacks *analytically*
 //! (closed-form equations, standalone Monte-Carlo). This module closes the
 //! loop with the actual simulated memory system: an [`AttackerCore`] is a
-//! [`srs_cpu::RequestSource`] that hammers through the real controller,
-//! against the real trackers and defenses, reacting to the feedback those
-//! components leak (maintenance activations, swap-induced latency spikes).
+//! request source, like [`srs_cpu::TraceCore`], that hammers through the
+//! real controller, against the real trackers and defenses, reacting to the
+//! feedback those components leak (maintenance activations, swap-induced
+//! latency spikes).
 //!
 //! * [`AttackPattern`] — the pattern IR: single-sided, double-sided,
 //!   n-sided, the (multi-bank) Juggernaut schedule and a seeded

@@ -141,7 +141,7 @@ impl Score {
 }
 
 /// Decompose a pattern into its genome: a kind index plus up to
-/// [`GENES`] numeric genes (unused trailing genes are absent).
+/// `GENES` numeric genes (unused trailing genes are absent).
 #[must_use]
 pub fn genes(pattern: &AttackPattern) -> (u64, Vec<u64>) {
     match pattern {

@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks of the core data structures: RIT operations,
-//! tracker updates, the analytical attack model and the cache model.
+//! tracker updates and the analytical attack model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use srs_attack::{juggernaut, AttackParams};
-use srs_cache::{CacheConfig, SetAssociativeCache};
 use srs_core::rit::BankRit;
 use srs_core::{MitigationConfig, RowSwapDefense, ScaleSrs, SecureRowSwap};
 use srs_trackers::{AggressorTracker, MisraGriesConfig, MisraGriesTracker};
@@ -95,24 +94,12 @@ fn bench_attack_model(c: &mut Criterion) {
     });
 }
 
-fn bench_cache(c: &mut Criterion) {
-    c.bench_function("llc_access", |b| {
-        let mut llc = SetAssociativeCache::new(CacheConfig::llc_8mb());
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(llc.access(black_box(i * 64 % (1 << 24)), i.is_multiple_of(4)));
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_rit,
     bench_tracker,
     bench_rit_live_walk,
     bench_defense_trigger,
-    bench_attack_model,
-    bench_cache
+    bench_attack_model
 );
 criterion_main!(benches);

@@ -23,13 +23,6 @@ pub fn full_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Number of worker threads for simulation sweeps (the experiment engine's
-/// default budget; one policy, defined in `srs_sim`).
-#[must_use]
-pub fn worker_threads() -> usize {
-    srs_sim::default_threads()
-}
-
 /// The workloads a performance figure sweeps: every workload in full mode, a
 /// representative subset (the hot-row workloads the paper details plus a few
 /// streaming/light ones) in quick mode.

@@ -1,28 +1,14 @@
 //! # srs-cache
 //!
-//! Set-associative cache models for the Scale-SRS reproduction: per-core
-//! L1/L2 filter caches, a shared last-level cache (LLC), and the Scale-SRS
-//! **pin-buffer** that allows whole DRAM rows to be pinned inside the LLC so
-//! that outlier aggressor rows stop generating DRAM activations for the rest
-//! of a refresh window (Section V-C of the paper).
-//!
-//! ## Example
-//!
-//! ```
-//! use srs_cache::{CacheConfig, SetAssociativeCache};
-//!
-//! let mut llc = SetAssociativeCache::new(CacheConfig::llc_8mb());
-//! assert!(!llc.access(0x1000, false).hit);  // cold miss
-//! assert!(llc.access(0x1000, false).hit);   // now resident
-//! ```
+//! The Scale-SRS **pin-buffer** (Section V-C of the paper): the bounded set
+//! of DRAM rows pinned inside the LLC, so that outlier aggressor rows stop
+//! generating DRAM activations for the rest of a refresh window. The
+//! simulator does not model the cache itself; a pinned row is served at LLC
+//! latency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod hierarchy;
 pub mod pin;
 
-pub use cache::{AccessOutcome, CacheConfig, CacheStats, SetAssociativeCache};
-pub use hierarchy::{CacheHierarchy, HierarchyConfig, MemorySideAccess};
 pub use pin::{PinBuffer, PinBufferConfig};

@@ -276,6 +276,28 @@ fn collisions_are_refused_without_force_and_threads_zero_means_auto() {
 }
 
 #[test]
+fn search_overrides_are_checked_before_any_output() {
+    let (dir, _) = scratch("search-overrides");
+    std::fs::write(dir.join("search_tiny.json"), TINY_SEARCH_SPEC).unwrap();
+    // The tiny search spec resolves to one cell.
+    for (flag, value, field) in [
+        ("--cell", "1", "search.cell"),
+        ("--population", "0", "search.population"),
+        ("--generations", "0", "search.generations"),
+    ] {
+        let output = cli(&dir)
+            .args(["search", "search_tiny.json", flag, value, "--out", "s.jsonl", "--quiet"])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{flag} {value} is a failure, not a crash");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(field), "{flag} {value}: the diagnostic names {field}: {stderr}");
+        assert!(!dir.join("s.jsonl").exists(), "{flag} {value} creates no stream");
+        assert!(!dir.join("s.jsonl.manifest.json").exists(), "{flag} {value} creates no manifest");
+    }
+}
+
+#[test]
 fn search_crash_hook_commits_n_generations_and_resume_is_byte_identical() {
     let (dir, _) = scratch("search-crash");
     std::fs::write(dir.join("search_tiny.json"), TINY_SEARCH_SPEC).unwrap();

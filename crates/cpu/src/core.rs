@@ -27,8 +27,8 @@ pub enum CoreStatus {
     Blocked,
 }
 
-/// A memory operation issued by a core, to be routed through the cache
-/// hierarchy by the simulator.
+/// A memory operation issued by a core, to be routed to the memory
+/// controller by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryIssue {
     /// Token to pass back to [`TraceCore::complete_read`].
@@ -250,11 +250,13 @@ impl TraceCore {
     /// operation *without any external event*, or `None` if only a read
     /// completion can unblock it (or it is finished).
     ///
-    /// This is the core's half of the event-driven time-skip engine: if the
-    /// result is `Some(t)` (which may be `<= now`, meaning "as soon as the
-    /// caller next looks"), nothing about the core changes before `t`; if
-    /// it is `None`, the core is inert until [`TraceCore::complete_read`]
-    /// is called from a memory-completion event.
+    /// This is the core's half of the event-driven time-skip engine's
+    /// contract: `Some(t)` (which may be `<= now`, meaning "as soon as the
+    /// caller next looks") only if nothing about the core changes before
+    /// `t` without an external event, and `None` only if the core is inert
+    /// until [`TraceCore::complete_read`] is called from a memory-completion
+    /// event (or for good, once finished). Breaking it lets the engine run
+    /// the core late and diverge from the fixed-step reference.
     #[must_use]
     pub fn next_ready_ns(&self, now: u64) -> Option<u64> {
         if self.is_finished() || self.outstanding.len() >= self.config.max_outstanding_misses {
@@ -371,6 +373,27 @@ mod tests {
         }
         assert!(c.retired_instructions() >= 500);
         assert_eq!(c.status(now), CoreStatus::Finished);
+    }
+
+    #[test]
+    fn trace_core_speaks_the_source_protocol() {
+        let trace = WorkloadSpec::gups(1 << 20).generate(100, 3);
+        let config = CoreConfig { target_instructions: 1_000, ..CoreConfig::default() };
+        let mut source = TraceCore::new(config, trace);
+        assert!(!source.is_finished());
+        let issue = source.try_issue(0).expect("ready at time zero");
+        source.complete_read(issue.token, 60);
+        assert!(source.retired_instructions() > 0);
+        // Drive the source to completion through its own methods alone.
+        let mut now = 100;
+        while !source.is_finished() {
+            if let Some(issue) = source.try_issue(now) {
+                source.complete_read(issue.token, now + 50);
+            }
+            now += 10;
+            assert!(now < 1_000_000, "source failed to finish");
+        }
+        assert_eq!(source.status(now), CoreStatus::Finished);
     }
 
     #[test]

@@ -24,8 +24,6 @@
 
 pub mod config;
 pub mod core;
-pub mod source;
 
 pub use crate::core::{AccessToken, CoreStats, CoreStatus, MemoryIssue, TraceCore};
 pub use config::CoreConfig;
-pub use source::RequestSource;

@@ -70,7 +70,7 @@ impl MemRequest {
     }
 }
 
-/// A completed demand access, reported by [`crate::MemoryController::tick`].
+/// A completed demand access, reported by [`crate::MemoryController::tick_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedAccess {
     /// The identifier returned by `enqueue`.

@@ -13,7 +13,7 @@ use crate::command::{
 };
 use crate::config::{DramConfig, PagePolicy};
 use crate::error::DramError;
-use crate::sink::{AccessSink, ActivationSink, EventCollector};
+use crate::sink::{AccessSink, ActivationSink};
 use crate::stats::ControllerStats;
 use crate::Nanos;
 
@@ -94,7 +94,7 @@ impl BankSet {
 /// demand requests of the same bank.
 ///
 /// All per-bank queues — demand transactions, maintenance operations, and
-/// undelivered completions — live in three shared slab [`Arena`]s threaded
+/// undelivered completions — live in three shared slab `Arena`s threaded
 /// with intrusive per-bank FIFOs. Enqueue/dequeue touch no allocator after
 /// warm-up, the FR-FCFS mid-queue removal is a pointer splice, and cloning
 /// the controller (the `System::fork` snapshot primitive) copies a handful
@@ -266,12 +266,6 @@ impl MemoryController {
         self.batched_drain = batched;
     }
 
-    /// Number of requests currently queued for the given bank.
-    #[must_use]
-    pub fn queue_depth(&self, bank: BankId) -> usize {
-        self.queues.get(bank.index()).map_or(0, Fifo::len)
-    }
-
     /// Total requests queued across all banks.
     #[must_use]
     pub fn total_queued(&self) -> usize {
@@ -336,13 +330,6 @@ impl MemoryController {
         // clamp in `next_event_ns` turns a past time into "next tick").
         self.next_event_hint = self.next_event_hint.min(self.busy_mirror[idx]);
         Ok(id)
-    }
-
-    /// Whether the bank a physical address maps to can accept another request.
-    #[must_use]
-    pub fn can_accept(&self, addr: PhysAddr) -> bool {
-        let (bank, _) = self.mapper.bank_and_row(addr);
-        self.can_accept_bank(bank)
     }
 
     /// Whether the given bank can accept another request.
@@ -500,15 +487,6 @@ impl MemoryController {
         }
     }
 
-    /// Convenience wrapper over [`MemoryController::tick_into`] that appends
-    /// this tick's events to a caller-owned collector. The collector is
-    /// reused across calls — nothing is allocated per tick — so clear it
-    /// between calls when stale events are unwanted. Prefer `tick_into`
-    /// with a streaming sink in simulation loops.
-    pub fn tick(&mut self, now: Nanos, events: &mut EventCollector) {
-        self.tick_into(now, events);
-    }
-
     /// Advance until all queued demand and maintenance work has completed
     /// and every completion has been delivered through `sink`, returning the
     /// final time. Useful in tests and for draining attack traces that are
@@ -528,13 +506,6 @@ impl MemoryController {
             now += step;
         }
         now
-    }
-
-    /// Convenience wrapper over [`MemoryController::drain_into`] that
-    /// appends the drained events to a caller-owned (reusable) collector
-    /// and returns the final time.
-    pub fn drain(&mut self, now: Nanos, step_ns: Nanos, events: &mut EventCollector) -> Nanos {
-        self.drain_into(now, step_ns, events)
     }
 
     fn handle_window_rollover(&mut self, now: Nanos) {
@@ -751,6 +722,7 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::EventCollector;
 
     fn small_config() -> DramConfig {
         DramConfig {
@@ -769,7 +741,7 @@ mod tests {
     /// Drain into a fresh collector and return the completions.
     fn drain_completions(mc: &mut MemoryController, step: Nanos) -> Vec<CompletedAccess> {
         let mut events = EventCollector::new();
-        mc.drain(0, step, &mut events);
+        mc.drain_into(0, step, &mut events);
         events.completions
     }
 
@@ -830,7 +802,7 @@ mod tests {
         for _ in 0..8 {
             mc.enqueue(MemRequest::new(addr, AccessKind::Read, 0, 0)).unwrap();
         }
-        assert!(!mc.can_accept(addr));
+        assert!(!mc.can_accept_bank(BankId::new(0)));
         assert!(matches!(
             mc.enqueue(MemRequest::new(addr, AccessKind::Read, 0, 0)),
             Err(DramError::QueueFull { .. })
@@ -953,7 +925,7 @@ mod tests {
         let mut mc = MemoryController::new(small_config());
         let t_refi = mc.config().timing.t_refi;
         // Advance past one refresh interval with no work queued.
-        mc.tick(t_refi + 1, &mut EventCollector::new());
+        mc.tick_into(t_refi + 1, &mut EventCollector::new());
         assert_eq!(mc.stats().refreshes, 1);
         // Banks are now busy until roughly t_refi + t_rfc.
         assert!(mc.bank_busy_until(BankId::new(0)) >= t_refi);
@@ -966,9 +938,9 @@ mod tests {
         let addr = addr_for(&mc, 0, 3);
         mc.enqueue(MemRequest::new(addr, AccessKind::Read, 0, 0)).unwrap();
         let mut events = EventCollector::new();
-        let t = mc.drain(0, 5, &mut events);
+        let t = mc.drain_into(0, 5, &mut events);
         assert!(t < mc.config().refresh_window_ns);
-        mc.tick(mc.config().refresh_window_ns + 1, &mut events);
+        mc.tick_into(mc.config().refresh_window_ns + 1, &mut events);
         assert_eq!(mc.stats().windows_elapsed, 1);
     }
 
@@ -1048,14 +1020,14 @@ mod tests {
         let addr = addr_for(&mc, 0, 5);
         mc.enqueue(MemRequest::new(addr, AccessKind::Read, 0, 0)).unwrap();
         let mut events = EventCollector::new();
-        let end = mc.drain(0, 5, &mut events);
+        let end = mc.drain_into(0, 5, &mut events);
         // Fully drained: every reported event from here on is a refresh
         // deadline, until the window rollover overtakes them.
         let mut now = end;
         for _ in 0..4 {
             let next = mc.next_event_ns(now);
             assert_eq!(next % t_refi, 0, "expected a tREFI multiple, got {next}");
-            mc.tick(next, &mut events);
+            mc.tick_into(next, &mut events);
             now = next;
         }
         assert!(mc.stats().refreshes >= 4);

@@ -66,7 +66,7 @@ pub use config::{DramConfig, DramTiming, PagePolicy};
 pub use controller::MemoryController;
 pub use damage::{DamageStore, EccKind, EccModel, EccOutcome};
 pub use error::DramError;
-pub use sink::{AccessSink, ActivationSink, EventCollector, NullSink};
+pub use sink::{AccessSink, ActivationSink, EventCollector};
 pub use stats::ControllerStats;
 
 /// Nanoseconds, the time base used throughout the memory model.

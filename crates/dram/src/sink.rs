@@ -13,8 +13,7 @@
 //!
 //! Implement [`ActivationSink`] to observe `ACT` commands and [`AccessSink`]
 //! to observe demand completions. [`EventCollector`] is the Vec-backed
-//! implementation for tests and offline analysis; [`NullSink`] discards
-//! everything.
+//! implementation for tests and offline analysis.
 
 use crate::command::{ActivationEvent, CompletedAccess};
 
@@ -45,20 +44,6 @@ pub trait ActivationSink {
 pub trait AccessSink {
     /// One demand access completed.
     fn on_access(&mut self, access: &CompletedAccess);
-}
-
-/// A sink that discards every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ActivationSink for NullSink {
-    fn on_activation(&mut self, _event: &ActivationEvent) {}
-
-    fn on_activation_batch(&mut self, _events: &[ActivationEvent]) {}
-}
-
-impl AccessSink for NullSink {
-    fn on_access(&mut self, _access: &CompletedAccess) {}
 }
 
 /// A sink that records every event, for tests and offline analysis.
@@ -127,19 +112,5 @@ mod tests {
         assert_eq!(collector.activations, vec![event]);
         assert_eq!(collector.completions.len(), 1);
         assert_eq!(collector.completions[0].request_id, RequestId(3));
-    }
-
-    #[test]
-    fn null_sink_accepts_events() {
-        let mut sink = NullSink;
-        let event = ActivationEvent {
-            bank: BankId::new(0),
-            row: 1,
-            logical_row: 1,
-            at_ns: 0,
-            maintenance: true,
-            maintenance_kind: Some(crate::command::MaintenanceKind::Swap),
-        };
-        sink.on_activation(&event);
     }
 }

@@ -32,7 +32,7 @@ use crate::json::{obj, Json, ToJson};
 /// Raw stopwatch ledger, accumulated at the subsystem probe sites.
 ///
 /// The buckets here are *inclusive* (an outer lap contains the inner laps
-/// taken while it ran); [`AttributionReport::from_timers`] converts them
+/// taken while it ran); `AttributionReport::from_timers` converts them
 /// into exclusive buckets.
 #[derive(Debug, Clone, Default)]
 pub struct SubsystemTimers {

@@ -191,8 +191,7 @@ pub enum JobEvent<O> {
 /// Run `f` over every item on a pool of `threads` workers, streaming each
 /// output to `handle` **in submission order** as soon as its prefix of the
 /// job list has completed — the execution primitive behind
-/// [`parallel_map_ordered`], [`run_parallel`] and the sink-driven
-/// [`crate::campaign::Campaign::run`].
+/// [`parallel_map_ordered`] and the sink-driven [`crate::campaign::Campaign::run`].
 ///
 /// Outputs that finish ahead of an earlier, slower job are buffered until
 /// the gap closes, so `handle` observes a deterministic event sequence while
@@ -282,17 +281,6 @@ where
         }
     });
     outputs
-}
-
-/// Run a set of (configuration, workload) jobs across `threads` worker
-/// threads and return the normalized results in **submission order**, so
-/// sweeps are reproducible run-to-run.
-#[must_use]
-pub fn run_parallel(
-    jobs: Vec<(SystemConfig, NamedWorkload)>,
-    threads: usize,
-) -> Vec<NormalizedResult> {
-    parallel_map_ordered(jobs, threads, |(config, workload)| run_normalized(&config, &workload))
 }
 
 /// One row of a suite-average table: a suite (or the overall `"ALL"` row),
@@ -417,7 +405,8 @@ mod tests {
             (tiny(DefenseKind::Baseline), workload("gups")),
             (tiny(DefenseKind::ScaleSrs), workload("gups")),
         ];
-        let results = run_parallel(jobs, 2);
+        let results =
+            parallel_map_ordered(jobs, 2, |(config, workload)| run_normalized(&config, &workload));
         assert_eq!(results.len(), 2);
     }
 
@@ -434,8 +423,10 @@ mod tests {
                 (tiny(kind), workload(name))
             })
             .collect();
-        let first = run_parallel(jobs.clone(), 4);
-        let second = run_parallel(jobs, 4);
+        let run =
+            |(config, workload): (SystemConfig, NamedWorkload)| run_normalized(&config, &workload);
+        let first = parallel_map_ordered(jobs.clone(), 4, run);
+        let second = parallel_map_ordered(jobs, 4, run);
         let order: Vec<&str> = first.iter().map(|r| r.workload.as_str()).collect();
         assert_eq!(order, names.to_vec(), "results must follow submission order");
         for (a, b) in first.iter().zip(&second) {

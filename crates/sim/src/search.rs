@@ -28,6 +28,7 @@ pub use srs_attack::search::{Candidate, GenerationSummary, Score, SearchConfig};
 
 use crate::journal::{load_manifest, manifest_path, save_manifest, Journal, JournalError};
 use crate::json::{obj, Json, ToJson};
+use crate::scenario::{Experiment, Scenario};
 use crate::security::SecurityReport;
 use crate::spec::{attack_spec_from_json, ExperimentSpec, SearchSpec, SpecError};
 use crate::system::System;
@@ -260,20 +261,28 @@ pub struct SearchOutcome {
     pub truncated_bytes: u64,
 }
 
+/// Resolve `spec`'s grid and pick the cell `search` targets.
+fn search_cell(
+    spec: &ExperimentSpec,
+    search: &SearchSpec,
+) -> Result<(Experiment, Scenario), SearchError> {
+    let experiment = spec.to_experiment()?;
+    let scenarios = experiment.scenarios();
+    let cells = scenarios.len();
+    let scenario = scenarios.into_iter().nth(search.cell).ok_or_else(|| {
+        SearchError::Manifest(format!(
+            "search.cell {} is out of range: '{}' resolves to {cells} cells",
+            search.cell, spec.name
+        ))
+    })?;
+    Ok((experiment, scenario))
+}
+
 /// Warm the scenario selected by `spec.search` to its warm-up horizon:
 /// a benign system (no attack installed) over the cell's workload.
 pub fn warm_system(spec: &ExperimentSpec, search: &SearchSpec) -> Result<System, SearchError> {
-    let experiment = spec.to_experiment()?;
-    let scenarios = experiment.scenarios();
-    let scenario = scenarios.get(search.cell).ok_or_else(|| {
-        SearchError::Manifest(format!(
-            "search.cell {} is out of range: '{}' resolves to {} cells",
-            search.cell,
-            spec.name,
-            scenarios.len()
-        ))
-    })?;
-    let mut config = experiment.config_for(scenario);
+    let (experiment, scenario) = search_cell(spec, search)?;
+    let mut config = experiment.config_for(&scenario);
     // The warm-up is benign by construction: the attack axis is the
     // search's output, not its input.
     config.attack = None;
@@ -368,9 +377,11 @@ pub fn run_search(
         .search
         .clone()
         .ok_or_else(|| SearchError::Spec(SpecError::field("search", "spec has no search block")))?;
-    // Resolve the grid before the stream exists, so a spec that no cell
-    // can run leaves no output behind.
-    spec.to_experiment()?;
+    // Resolve the grid and check the block as the caller resolved it
+    // (command-line overrides included) before the stream exists: a search
+    // that cannot run leaves no output behind.
+    search_cell(spec, &search_spec)?;
+    search_spec.check_budget()?;
     let config = search_spec.to_search_config();
     let threads = if threads == 0 { crate::scenario::default_threads() } else { threads };
     let manifest_path = manifest_path(out);

@@ -233,7 +233,7 @@ const PATCH_KEYS: &[&str] = &[
 ];
 
 impl ToJson for ConfigPatch {
-    /// Encode only the set overrides, in [`PATCH_KEYS`] order.
+    /// Encode only the set overrides, in `PATCH_KEYS` order.
     fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = Vec::new();
         let mut push = |key: &str, value: Option<Json>| {
@@ -589,13 +589,20 @@ impl SearchSpec {
                 }
             }
         }
-        if spec.population == 0 {
+        spec.check_budget()?;
+        Ok(spec)
+    }
+
+    /// Refuse a block with nothing to search: a zero population or
+    /// generation budget, whether read from a file or set afterwards.
+    pub(crate) fn check_budget(&self) -> Result<(), SpecError> {
+        if self.population == 0 {
             return Err(SpecError::field("search.population", "must be at least 1"));
         }
-        if spec.generations == 0 {
+        if self.generations == 0 {
             return Err(SpecError::field("search.generations", "must be at least 1"));
         }
-        Ok(spec)
+        Ok(())
     }
 
     /// The operator configuration this block describes, as the attack

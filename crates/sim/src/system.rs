@@ -14,7 +14,7 @@ use std::time::Instant;
 use fxhash::{FxHashMap, FxHashSet};
 use srs_attack::engine::{AttackSpec, AttackerCore, AttackerStats};
 use srs_core::{build_defense, DefenseKind, MitigationAction, RowOpKind, RowSwapDefense};
-use srs_cpu::{AccessToken, CoreStatus, RequestSource, TraceCore};
+use srs_cpu::{AccessToken, CoreStatus, TraceCore};
 use srs_dram::{
     AccessKind, AccessSink, ActivationEvent, ActivationSink, BankId, CompletedAccess, DramAddress,
     DramTiming, MaintenanceKind, MaintenanceOp, MemRequest, MemoryController, PhysAddr,
@@ -113,10 +113,11 @@ impl MitigationProbe {
 ///
 /// The core set is heterogeneous: trace-replaying victim cores plus the
 /// closed-loop attacker cores added by [`SystemConfig::attack`]. Both
-/// speak the [`RequestSource`] issue protocol — including the event-driven
-/// engine's `next_ready_ns` contract — but are stored concretely-typed so
-/// the per-tick engine loops keep static (inlinable) dispatch; a request's
-/// global core index is its position in victims-then-attackers order.
+/// speak the same issue protocol (`try_issue`, `complete_read` and the
+/// event-driven engine's `next_ready_ns` contract) through inherent
+/// methods, so the per-tick engine loops keep static (inlinable) dispatch;
+/// a request's global core index is its position in victims-then-attackers
+/// order.
 ///
 /// A `System` is an explicit state machine over simulated time: the engine
 /// clock lives in the struct, so a run can be advanced partway

@@ -8,7 +8,7 @@
 //! depend on a single crate:
 //!
 //! * [`dram`] — the DDR4 memory system model (banks, timing, controller);
-//! * [`cache`] — the cache hierarchy and the Scale-SRS LLC pin-buffer;
+//! * [`cache`] — the Scale-SRS LLC pin-buffer;
 //! * [`cpu`] — the trace-driven out-of-order core model;
 //! * [`trackers`] — the Misra-Gries and Hydra aggressor trackers;
 //! * [`core`] — the row-swap defenses: RRS, SRS and Scale-SRS;
