@@ -274,8 +274,14 @@ pub struct Search {
 impl Search {
     /// A fresh search: generation 0 is the shipped library, truncated or
     /// padded with seeded mutants to the configured population size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.population` is 0: a generation needs a candidate
+    /// to rank.
     #[must_use]
     pub fn new(config: SearchConfig) -> Self {
+        assert!(config.population >= 1, "a search needs a population of at least 1");
         let mut population = shipped_candidates();
         population.truncate(config.population);
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5EED_0000);
@@ -453,6 +459,13 @@ mod tests {
         // the runs must at least both complete with full summaries.
         assert_eq!(a.len(), 5);
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "population")]
+    fn an_empty_population_is_refused_at_construction() {
+        // `SearchConfig::new` clamps the population; a literal does not.
+        let _ = Search::new(SearchConfig { population: 0, ..SearchConfig::new(1, 1, 1) });
     }
 
     #[test]

@@ -28,14 +28,34 @@ const TINY_SEARCH_SPEC: &str = r#"{
                "seed": 11, "elites": 1}
 }"#;
 
+/// A test's scratch directory. Dropping the guard removes it, unless the
+/// test is panicking: a failed test's files stay for inspection.
+struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
 /// A unique scratch directory per test holding the tiny spec.
-fn scratch(test: &str) -> (PathBuf, PathBuf) {
+fn scratch(test: &str) -> (ScratchDir, PathBuf) {
     let dir = std::env::temp_dir().join(format!("srs-cli-{}-{test}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let spec = dir.join("campaign_tiny.json");
     std::fs::write(&spec, TINY_SPEC).expect("write tiny spec");
-    (dir, spec)
+    (ScratchDir(dir), spec)
 }
 
 /// The CLI under test, with the campaign and search test hooks scrubbed
@@ -295,6 +315,19 @@ fn search_overrides_are_checked_before_any_output() {
         assert!(!dir.join("s.jsonl").exists(), "{flag} {value} creates no stream");
         assert!(!dir.join("s.jsonl.manifest.json").exists(), "{flag} {value} creates no manifest");
     }
+}
+
+#[test]
+fn validate_refuses_a_search_cell_outside_the_grid() {
+    let (dir, _) = scratch("search-cell");
+    // The tiny search spec resolves to one cell.
+    let spec = TINY_SEARCH_SPEC.replace(r#""elites": 1}"#, r#""elites": 1, "cell": 7}"#);
+    assert!(spec.contains(r#""cell": 7"#), "{spec}");
+    std::fs::write(dir.join("search_tiny.json"), spec).unwrap();
+    let output = cli(&dir).args(["validate", "search_tiny.json"]).output().unwrap();
+    assert_eq!(output.status.code(), Some(1), "an out-of-grid search.cell must not validate");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("search.cell"), "the diagnostic names search.cell: {stderr}");
 }
 
 #[test]

@@ -902,15 +902,8 @@ pub fn merge_results(inputs: &[PathBuf], out: &Path) -> Result<MergeStats, Campa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::scratch::ScratchDir;
     use crate::sink::sample_result as result;
-
-    /// A unique scratch directory per test, under the system temp dir.
-    fn scratch(test: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("srs-campaign-{}-{test}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
-    }
 
     #[test]
     fn ranges_round_trip_and_compress() {
@@ -969,7 +962,7 @@ mod tests {
 
         // A results manifest whose own `total_cells` admits the huge range:
         // resume compares it with the run's grid before decoding a range.
-        let dir = scratch("forged-total");
+        let dir = ScratchDir::new("campaign", "forged-total");
         let out = dir.join("out.jsonl");
         std::fs::write(&out, "").unwrap();
         let forged = CampaignManifest::new("demo", 4, (0..4).collect())
@@ -986,7 +979,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_disk() {
-        let dir = scratch("manifest");
+        let dir = ScratchDir::new("campaign", "manifest");
         let path = dir.join("out.jsonl.manifest.json");
         let mut manifest = CampaignManifest::new("demo", 12, (0..12).collect());
         manifest.completed = vec![0, 1, 2, 5];
@@ -1001,7 +994,7 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_truncates_the_torn_record_and_skips_completed_cells() {
-        let dir = scratch("resume");
+        let dir = ScratchDir::new("campaign", "resume");
         let out = dir.join("out.jsonl");
         let cells: Vec<usize> = (0..4).collect();
         let mut sink = CheckpointSink::create(&out, "demo", 4, cells.clone()).unwrap();
@@ -1040,7 +1033,7 @@ mod tests {
 
     #[test]
     fn checkpoint_repairs_out_of_order_resume_appends() {
-        let dir = scratch("sort");
+        let dir = ScratchDir::new("campaign", "sort");
         let out = dir.join("out.jsonl");
         let cells: Vec<usize> = (0..3).collect();
         // First run completes cells 0 and 2 (cell 1 failed).
@@ -1070,7 +1063,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_gaps_and_duplicates_and_orders_by_index() {
-        let dir = scratch("merge");
+        let dir = ScratchDir::new("campaign", "merge");
         let shard_a = dir.join("a.jsonl");
         let shard_b = dir.join("b.jsonl");
         let write = |path: &Path, indices: &[usize]| {

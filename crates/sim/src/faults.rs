@@ -350,45 +350,6 @@ impl ToJson for IntegrityReport {
     }
 }
 
-impl IntegrityReport {
-    /// Decode the [`ToJson`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let u = |name: &str| -> Result<u64, String> {
-            json.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("integrity.{name} must be an integer"))
-        };
-        let opt = |name: &str| -> Result<Option<u64>, String> {
-            match json.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(value) => value
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("integrity.{name} must be an integer or null")),
-            }
-        };
-        Ok(Self {
-            ecc: json
-                .get("ecc")
-                .and_then(Json::as_str)
-                .ok_or("integrity.ecc must be a string")?
-                .to_string(),
-            bit_flips_injected: u("bit_flips_injected")?,
-            rows_damaged: u("rows_damaged")?,
-            corrupted_reads: u("corrupted_reads")?,
-            detected_uncorrectable: u("detected_uncorrectable")?,
-            corrected_reads: u("corrected_reads")?,
-            scrub_saves: u("scrub_saves")?,
-            first_flip_ns: opt("first_flip_ns")?,
-            first_corruption_ns: opt("first_corruption_ns")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,22 +502,5 @@ mod tests {
         let report = f.into_report();
         assert_eq!(report.scrub_saves, 1, "a single-bit row is scrubbed clean");
         assert_eq!(report.rows_damaged, 0);
-    }
-
-    #[test]
-    fn integrity_report_round_trips_through_json() {
-        let report = IntegrityReport {
-            ecc: "secded".to_string(),
-            bit_flips_injected: 5,
-            rows_damaged: 2,
-            corrupted_reads: 1,
-            detected_uncorrectable: 3,
-            corrected_reads: 4,
-            scrub_saves: 6,
-            first_flip_ns: Some(12_345),
-            first_corruption_ns: None,
-        };
-        let back = IntegrityReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
     }
 }

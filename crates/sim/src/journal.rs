@@ -212,25 +212,57 @@ pub fn read_results(
     }
 }
 
+/// Test scratch directories that remove themselves.
+#[cfg(test)]
+pub(crate) mod scratch {
+    use std::path::{Path, PathBuf};
+
+    /// A fresh directory for one test under the system temp dir, named
+    /// `srs-<module>-<pid>-<test>`. Dropping the guard removes it, unless
+    /// the test is panicking: a failed test's files stay for inspection.
+    pub(crate) struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        pub(crate) fn new(module: &str, test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("srs-{module}-{}-{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create scratch dir");
+            Self(dir)
+        }
+    }
+
+    impl std::ops::Deref for ScratchDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
 
+    use super::scratch::ScratchDir;
     use super::*;
-
-    fn scratch(test: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("srs-journal-{}-{test}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
-    }
 
     /// No test sets this variable, so the crash hook stays disarmed.
     const NO_HOOK: &str = "SRS_JOURNAL_TEST_NO_CRASH_HOOK";
 
     #[test]
     fn resume_cuts_a_torn_tail_and_refuses_a_stream_shorter_than_committed() {
-        let path = scratch("resume").join("out.jsonl");
+        let dir = ScratchDir::new("journal", "resume");
+        let path = dir.join("out.jsonl");
         let mut journal = Journal::create(&path, NO_HOOK).unwrap();
         assert_eq!(journal.append(r#"{"a":1}"#.to_string()).unwrap(), 8);
         let committed = journal.append(r#"{"b":2}"#.to_string()).unwrap();
@@ -256,7 +288,8 @@ mod tests {
 
     #[test]
     fn reader_returns_the_footer_and_a_torn_tail_apart_from_the_records() {
-        let path = scratch("read").join("out.jsonl");
+        let dir = ScratchDir::new("journal", "read");
+        let path = dir.join("out.jsonl");
         let committed = "{\"r\":0}\n\n{\"r\":1}\n{\"attribution\":{\"wall_ns\":5}}\n";
         std::fs::write(&path, format!("{committed}{{\"r\":\n")).unwrap();
         let mut seen = Vec::new();
@@ -276,7 +309,8 @@ mod tests {
 
     #[test]
     fn reader_rejects_garbage_mid_stream_and_rejected_records_by_line() {
-        let path = scratch("corrupt").join("out.jsonl");
+        let dir = ScratchDir::new("journal", "corrupt");
+        let path = dir.join("out.jsonl");
         std::fs::write(&path, "{\"r\":0}\nnot json\n{\"r\":1}\n").unwrap();
         let error = read_results(&path, |_, _| Ok(())).unwrap_err();
         assert!(matches!(&error, CampaignError::Corrupt(m) if m.contains("out.jsonl:2:")));
@@ -318,7 +352,8 @@ mod tests {
             cells in prop::collection::vec(0u64..1_000_000_000, 1..6),
             garbage in prop::collection::vec(0u8..=255, 0..48),
         ) {
-            let path = scratch("fuzz").join("out.jsonl");
+            let dir = ScratchDir::new("journal", "fuzz");
+            let path = dir.join("out.jsonl");
             let records: Vec<String> = cells.iter().map(|c| format!("{{\"cell\":{c}}}")).collect();
             let committed_records = &records[..records.len() - 1];
             let mut journal = Journal::create(&path, NO_HOOK).unwrap();

@@ -543,14 +543,8 @@ pub fn replay_best(record: &Json) -> Result<ReplayOutcome, SearchError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::scratch::ScratchDir;
     use std::io::Write;
-
-    fn scratch(test: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("srs-search-{}-{test}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
-    }
 
     fn tiny_spec() -> ExperimentSpec {
         ExperimentSpec::parse(
@@ -576,7 +570,7 @@ mod tests {
 
     #[test]
     fn search_stream_is_deterministic_per_seed() {
-        let dir = scratch("determinism");
+        let dir = ScratchDir::new("search", "determinism");
         let spec = tiny_spec();
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
@@ -593,7 +587,7 @@ mod tests {
 
     #[test]
     fn resumed_campaign_matches_uninterrupted_bytes() {
-        let dir = scratch("resume");
+        let dir = ScratchDir::new("search", "resume");
         let spec = tiny_spec();
         let reference = dir.join("ref.jsonl");
         let reference_outcome = run_to_file(&spec, &reference);
@@ -610,7 +604,7 @@ mod tests {
 
     #[test]
     fn resume_truncates_a_torn_final_record() {
-        let dir = scratch("torn");
+        let dir = ScratchDir::new("search", "torn");
         let spec = tiny_spec();
         let reference = dir.join("ref.jsonl");
         run_to_file(&spec, &reference);
@@ -628,7 +622,7 @@ mod tests {
 
     #[test]
     fn resume_refuses_a_stream_shorter_than_its_committed_bytes() {
-        let dir = scratch("cut");
+        let dir = ScratchDir::new("search", "cut");
         let spec = tiny_spec();
         let out = dir.join("cut.jsonl");
         run_search(&spec, &out, false, 2, Some(1), &mut |_| {}).expect("partial run");
@@ -650,7 +644,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_recorded_report_bytes() {
-        let dir = scratch("replay");
+        let dir = ScratchDir::new("search", "replay");
         let spec = tiny_spec();
         let out = dir.join("s.jsonl");
         let outcome = run_to_file(&spec, &out);
@@ -686,7 +680,7 @@ mod tests {
 
     #[test]
     fn mismatched_resume_is_rejected() {
-        let dir = scratch("mismatch");
+        let dir = ScratchDir::new("search", "mismatch");
         let spec = tiny_spec();
         let out = dir.join("s.jsonl");
         run_to_file(&spec, &out);

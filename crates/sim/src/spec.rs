@@ -407,10 +407,11 @@ impl ExperimentSpec {
     /// Resolve every registry name and build the equivalent [`Experiment`].
     ///
     /// Unlike the builder API (whose [`Experiment::scenarios`] panics on an
-    /// empty required axis), resolution reports empty axes, unknown names
-    /// and a patched DRAM geometry that fails `DramConfig::validate` as
-    /// structured [`SpecError`]s, so a bad spec file is a diagnosable user
-    /// error rather than a crash or a grid of failed cells.
+    /// empty required axis), resolution reports empty axes, unknown names,
+    /// a patched DRAM geometry that fails `DramConfig::validate` and a
+    /// `search.cell` outside the grid as structured [`SpecError`]s, so a bad
+    /// spec file is a diagnosable user error rather than a crash or a grid
+    /// of failed cells.
     pub fn to_experiment(&self) -> Result<Experiment, SpecError> {
         let defenses: Vec<DefenseKind> =
             self.defenses.iter().map(|n| parse_defense(n)).collect::<Result<_, _>>()?;
@@ -453,6 +454,18 @@ impl ExperimentSpec {
         }
         if let Some(threads) = self.threads {
             experiment = experiment.with_threads(threads);
+        }
+        if let Some(search) = &self.search {
+            let cells = experiment.job_count();
+            if search.cell >= cells {
+                return Err(SpecError::field(
+                    "search.cell",
+                    format!(
+                        "{} is out of range: '{}' resolves to {cells} cells",
+                        search.cell, self.name
+                    ),
+                ));
+            }
         }
         Ok(experiment)
     }

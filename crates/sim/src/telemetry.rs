@@ -1,5 +1,5 @@
-//! Deterministic simulated-time telemetry: event tracing, a
-//! counter/gauge/histogram registry, and Perfetto trace export.
+//! Deterministic simulated-time telemetry: event tracing, a fixed set of
+//! counters, gauges and histograms, and Perfetto trace export.
 //!
 //! Everything in this module is keyed on **simulated nanoseconds**, never
 //! the wall clock, so an armed run's telemetry is bit-deterministic: two
@@ -12,13 +12,16 @@
 //! observes — no hook mutates simulation state, and the report rides on
 //! [`crate::metrics::SimResult`] *outside* its JSON encoding, so a results
 //! JSONL stream is byte-identical with telemetry armed or disarmed (CI
-//! enforces this on the quickstart grid). Disarmed, every hook is a single
-//! predictable branch on [`Telemetry::armed`] — the same zero-cost pattern
-//! as [`crate::attribution::SubsystemTimers`], but on simulated time.
+//! enforces this on the quickstart grid). Disarmed, the recorder is one
+//! null pointer and every hook returns after a single predictable branch
+//! on it — the same zero-cost pattern as
+//! [`crate::attribution::SubsystemTimers`], but on simulated time.
 //!
 //! Events and samples land in preallocated ring buffers that overwrite the
 //! oldest entry once full and count what they dropped, so an armed cell has
-//! a hard memory bound no matter how hot it runs.
+//! a hard memory bound no matter how hot it runs. The report is write-only:
+//! the sidecar and the Perfetto export are plain JSON, and nothing in the
+//! workspace decodes them back.
 
 use std::io::Write;
 
@@ -177,27 +180,6 @@ impl EventKind {
         }
     }
 
-    /// Decode a wire label back into its kind.
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        Some(match label {
-            "swap" => EventKind::Swap,
-            "unswap-swap" => EventKind::UnswapSwap,
-            "place-back" => EventKind::PlaceBack,
-            "counter-access" => EventKind::CounterAccess,
-            "row-pin" => EventKind::RowPin,
-            "mitigation-trigger" => EventKind::MitigationTrigger,
-            "trh-crossing" => EventKind::TrhCrossing,
-            "attack-phase" => EventKind::AttackPhase,
-            "queue-stall" => EventKind::QueueStall,
-            "search-phase" => EventKind::SearchPhase,
-            "bit-flip" => EventKind::BitFlip,
-            "corrupted-read" => EventKind::CorruptedRead,
-            "saturation" => EventKind::Saturation,
-            _ => return None,
-        })
-    }
-
     /// Whether the event's value is a duration (rendered as a Perfetto
     /// complete slice) rather than an instant payload.
     #[must_use]
@@ -226,40 +208,40 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-/// A preallocated ring buffer of trace events that overwrites the oldest
-/// entry once full and counts every overwritten event as dropped.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct EventRing {
-    events: Vec<TraceEvent>,
+/// A preallocated ring that overwrites its oldest entry once full and
+/// counts every overwritten entry as dropped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Ring<T: Copy> {
+    items: Vec<T>,
     capacity: usize,
     /// Next write position once the ring has wrapped.
     head: usize,
     dropped: u64,
 }
 
-impl EventRing {
+impl<T: Copy> Ring<T> {
     fn new(capacity: usize) -> Self {
-        Self { events: Vec::with_capacity(capacity), capacity, head: 0, dropped: 0 }
+        Self { items: Vec::with_capacity(capacity), capacity, head: 0, dropped: 0 }
     }
 
     #[inline]
-    fn push(&mut self, event: TraceEvent) {
+    fn push(&mut self, item: T) {
         if self.capacity == 0 {
             self.dropped += 1;
-        } else if self.events.len() < self.capacity {
-            self.events.push(event);
+        } else if self.items.len() < self.capacity {
+            self.items.push(item);
         } else {
-            self.events[self.head] = event;
+            self.items[self.head] = item;
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
     }
 
-    /// The retained events in chronological order (oldest first).
-    fn in_order(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
+    /// The retained entries in chronological order (oldest first).
+    fn in_order(&self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.items.len());
+        out.extend_from_slice(&self.items[self.head..]);
+        out.extend_from_slice(&self.items[..self.head]);
         out
     }
 }
@@ -358,179 +340,55 @@ impl ToJson for Log2Histogram {
     }
 }
 
-impl Log2Histogram {
-    /// Decode the sparse [`ToJson`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if a field is missing, mistyped, or a bucket index
-    /// is out of range.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let mut histogram = Self::new();
-        histogram.count =
-            json.get("count").and_then(Json::as_u64).ok_or("histogram.count must be an integer")?;
-        histogram.sum =
-            json.get("sum").and_then(Json::as_u64).ok_or("histogram.sum must be an integer")?;
-        let buckets = json
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or("histogram.buckets must be an array")?;
-        for entry in buckets {
-            let pair = entry.as_array().filter(|p| p.len() == 2).ok_or("bucket must be a pair")?;
-            let index = pair[0]
-                .as_u64()
-                .and_then(|i| usize::try_from(i).ok())
-                .filter(|&i| i < Self::BUCKETS)
-                .ok_or("bucket index out of range")?;
-            histogram.buckets[index] = pair[1].as_u64().ok_or("bucket count must be an integer")?;
-        }
-        Ok(histogram)
-    }
-}
-
-/// One gauge's ring of `(at_ns, value)` samples.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct SampleRing {
-    samples: Vec<(u64, u64)>,
-    capacity: usize,
-    head: usize,
-    dropped: u64,
-}
-
-impl SampleRing {
-    fn new(capacity: usize) -> Self {
-        Self { samples: Vec::with_capacity(capacity), capacity, head: 0, dropped: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, at_ns: u64, value: u64) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-        } else if self.samples.len() < self.capacity {
-            self.samples.push((at_ns, value));
-        } else {
-            self.samples[self.head] = (at_ns, value);
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    fn in_order(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.samples.len());
-        out.extend_from_slice(&self.samples[self.head..]);
-        out.extend_from_slice(&self.samples[..self.head]);
-        out
-    }
-}
-
-/// The registry of counters, sampled gauges and log2-bucket histograms one
-/// armed simulation maintains. Entries are registered once at arm time, so
-/// the hot-path update is an indexed store, and the report's metric order
-/// is fixed and deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, u64)>,
-    histograms: Vec<(&'static str, Log2Histogram)>,
-    series: Vec<(&'static str, SampleRing)>,
-}
-
-impl MetricsRegistry {
-    /// Register a counter, returning its index.
-    pub fn counter(&mut self, name: &'static str) -> usize {
-        self.counters.push((name, 0));
-        self.counters.len() - 1
-    }
-
-    /// Register a histogram, returning its index.
-    pub fn histogram(&mut self, name: &'static str) -> usize {
-        self.histograms.push((name, Log2Histogram::new()));
-        self.histograms.len() - 1
-    }
-
-    /// Register a sampled gauge with the given ring capacity, returning its
-    /// index.
-    pub fn series(&mut self, name: &'static str, capacity: usize) -> usize {
-        self.series.push((name, SampleRing::new(capacity)));
-        self.series.len() - 1
-    }
-
-    /// Add to a registered counter.
-    #[inline]
-    pub fn add(&mut self, counter: usize, delta: u64) {
-        self.counters[counter].1 += delta;
-    }
-
-    /// Record into a registered histogram.
-    #[inline]
-    pub fn record(&mut self, histogram: usize, value: u64) {
-        self.histograms[histogram].1.record(value);
-    }
-
-    /// Push one sample of a registered gauge.
-    #[inline]
-    pub fn sample(&mut self, series: usize, at_ns: u64, value: u64) {
-        self.series[series].1.push(at_ns, value);
-    }
-}
-
-/// The identifiers of the fixed metric set an armed [`Telemetry`] registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MetricIds {
-    mitigations: usize,
-    maintenance_ops: usize,
-    queue_stalls: usize,
-    reads_completed: usize,
-    memory_latency: usize,
-    swap_stall: usize,
-    bank_queue_depth: usize,
-    deferred_depth: usize,
-    tracker_occupancy: usize,
-    rit_live_rows: usize,
-    bit_flips: usize,
-    corrupted_reads: usize,
-    saturation_events: usize,
-}
-
 /// The live, in-simulation telemetry recorder.
 ///
 /// Disarmed ([`Telemetry::disarmed`], the default for every configuration
-/// with `telemetry.enabled == false`) it holds no buffers and every hook
-/// returns after one branch. Armed, it records typed events into a ring,
-/// maintains the fixed metric registry, and exposes the next sample
-/// deadline for the event engine's candidate set.
+/// with `telemetry.enabled == false`) it is one null pointer: nothing is
+/// allocated, and every hook returns after one branch. Armed, it boxes one
+/// `Recorder` that records typed events into a ring, keeps the fixed
+/// metric set, and exposes the next sample deadline for the event engine's
+/// candidate set.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Telemetry(Option<Box<Recorder>>);
+
+/// The armed state of a [`Telemetry`]: the sample cadence, the event ring,
+/// the fixed metric set (7 counters, 2 histograms, 4 gauge rings) and the
+/// latches that turn simulation state into transition events.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Telemetry {
-    enabled: bool,
+struct Recorder {
     sample_interval_ns: u64,
     next_sample_ns: u64,
-    events: EventRing,
-    registry: MetricsRegistry,
-    ids: Option<MetricIds>,
+    events: Ring<TraceEvent>,
+    mitigation_triggers: u64,
+    maintenance_ops: u64,
+    queue_stalls: u64,
+    reads_completed: u64,
+    bit_flips: u64,
+    corrupted_reads: u64,
+    saturation_events: u64,
+    memory_latency_ns: Log2Histogram,
+    swap_stall_ns: Log2Histogram,
+    bank_queue_depth: Ring<(u64, u64)>,
+    deferred_depth: Ring<(u64, u64)>,
+    tracker_occupancy: Ring<(u64, u64)>,
+    rit_live_rows: Ring<(u64, u64)>,
     trh_latched: bool,
     /// Per-attacker guess-phase latch for transition detection.
     attacker_in_guess: Vec<bool>,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::disarmed()
+impl Recorder {
+    #[inline]
+    fn event(&mut self, at_ns: u64, kind: EventKind, bank: u32, value: u64) {
+        self.events.push(TraceEvent { at_ns, kind, bank, value });
     }
 }
 
 impl Telemetry {
-    /// A disarmed recorder: no buffers, every hook one branch.
+    /// A disarmed recorder: nothing allocated, every hook one branch.
     #[must_use]
     pub fn disarmed() -> Self {
-        Self {
-            enabled: false,
-            sample_interval_ns: u64::MAX,
-            next_sample_ns: u64::MAX,
-            events: EventRing::default(),
-            registry: MetricsRegistry::default(),
-            ids: None,
-            trh_latched: false,
-            attacker_in_guess: Vec::new(),
-        }
+        Self(None)
     }
 
     /// Build a recorder for `config` (disarmed unless `config.enabled`).
@@ -540,39 +398,34 @@ impl Telemetry {
             return Self::disarmed();
         }
         let interval = config.sample_interval_ns.max(1);
-        let mut registry = MetricsRegistry::default();
-        let ids = MetricIds {
-            mitigations: registry.counter("mitigation_triggers"),
-            maintenance_ops: registry.counter("maintenance_ops"),
-            queue_stalls: registry.counter("queue_stalls"),
-            reads_completed: registry.counter("reads_completed"),
-            memory_latency: registry.histogram("memory_latency_ns"),
-            swap_stall: registry.histogram("swap_stall_ns"),
-            bank_queue_depth: registry.series("bank_queue_depth", config.sample_capacity),
-            deferred_depth: registry.series("deferred_depth", config.sample_capacity),
-            tracker_occupancy: registry.series("tracker_occupancy", config.sample_capacity),
-            rit_live_rows: registry.series("rit_live_rows", config.sample_capacity),
-            bit_flips: registry.counter("bit_flips"),
-            corrupted_reads: registry.counter("corrupted_reads"),
-            saturation_events: registry.counter("saturation_events"),
-        };
-        Self {
-            enabled: true,
+        let gauge = || Ring::new(config.sample_capacity);
+        Self(Some(Box::new(Recorder {
             sample_interval_ns: interval,
             next_sample_ns: interval,
-            events: EventRing::new(config.event_capacity),
-            registry,
-            ids: Some(ids),
+            events: Ring::new(config.event_capacity),
+            mitigation_triggers: 0,
+            maintenance_ops: 0,
+            queue_stalls: 0,
+            reads_completed: 0,
+            bit_flips: 0,
+            corrupted_reads: 0,
+            saturation_events: 0,
+            memory_latency_ns: Log2Histogram::new(),
+            swap_stall_ns: Log2Histogram::new(),
+            bank_queue_depth: gauge(),
+            deferred_depth: gauge(),
+            tracker_occupancy: gauge(),
+            rit_live_rows: gauge(),
             trh_latched: false,
             attacker_in_guess: Vec::new(),
-        }
+        })))
     }
 
     /// Whether the recorder is armed.
     #[inline]
     #[must_use]
     pub fn armed(&self) -> bool {
-        self.enabled
+        self.0.is_some()
     }
 
     /// The next simulated-ns sample deadline, for the event engine's
@@ -580,148 +433,107 @@ impl Telemetry {
     #[inline]
     #[must_use]
     pub fn next_sample_ns(&self) -> Option<u64> {
-        self.enabled.then_some(self.next_sample_ns)
+        self.0.as_ref().map(|r| r.next_sample_ns)
     }
 
     /// Whether a sample is due at `now`.
     #[inline]
     #[must_use]
     pub(crate) fn sample_due(&self, now: u64) -> bool {
-        self.enabled && self.next_sample_ns <= now
+        self.0.as_ref().is_some_and(|r| r.next_sample_ns <= now)
     }
 
     /// Whether the TRH-crossing event has been recorded.
     #[inline]
     #[must_use]
     pub(crate) fn trh_latched(&self) -> bool {
-        self.trh_latched
+        self.0.as_ref().is_some_and(|r| r.trh_latched)
     }
 
     /// Record a maintenance row operation (swap family or counter access).
     pub(crate) fn record_op(&mut self, at_ns: u64, kind: EventKind, bank: u32, duration_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.maintenance_ops, 1);
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.maintenance_ops += 1;
         if matches!(kind, EventKind::Swap | EventKind::UnswapSwap) {
-            self.registry.record(ids.swap_stall, duration_ns);
+            r.swap_stall_ns.record(duration_ns);
         }
-        self.events.push(TraceEvent { at_ns, kind, bank, value: duration_ns });
+        r.event(at_ns, kind, bank, duration_ns);
     }
 
     /// Record a mitigation trigger on `bank` for `row`.
     pub(crate) fn record_mitigation(&mut self, at_ns: u64, bank: u32, row: u64) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.mitigations, 1);
-        self.events.push(TraceEvent {
-            at_ns,
-            kind: EventKind::MitigationTrigger,
-            bank,
-            value: row,
-        });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.mitigation_triggers += 1;
+        r.event(at_ns, EventKind::MitigationTrigger, bank, row);
     }
 
     /// Record an adaptive-search candidate installation on a warm fork.
     pub(crate) fn record_search_fork(&mut self, at_ns: u64, candidate_seed: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.events.push(TraceEvent {
-            at_ns,
-            kind: EventKind::SearchPhase,
-            bank: 0,
-            value: candidate_seed,
-        });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.event(at_ns, EventKind::SearchPhase, 0, candidate_seed);
     }
 
     /// Record a Scale-SRS row pin.
     pub(crate) fn record_row_pin(&mut self, at_ns: u64, bank: u32, row: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.events.push(TraceEvent { at_ns, kind: EventKind::RowPin, bank, value: row });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.event(at_ns, EventKind::RowPin, bank, row);
     }
 
     /// Record a bank-queue stall (a deferred demand access).
     pub(crate) fn record_queue_stall(&mut self, at_ns: u64, bank: u32, depth: u64) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.queue_stalls, 1);
-        self.events.push(TraceEvent { at_ns, kind: EventKind::QueueStall, bank, value: depth });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.queue_stalls += 1;
+        r.event(at_ns, EventKind::QueueStall, bank, depth);
     }
 
     /// Record one completed demand read's end-to-end latency.
     #[inline]
     pub(crate) fn record_read_latency(&mut self, latency_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.reads_completed, 1);
-        self.registry.record(ids.memory_latency, latency_ns);
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.reads_completed += 1;
+        r.memory_latency_ns.record(latency_ns);
     }
 
     /// Record a committed bit flip on logical `row` of `bank`.
     pub(crate) fn record_bit_flip(&mut self, at_ns: u64, bank: u32, row: u64) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.bit_flips, 1);
-        self.events.push(TraceEvent { at_ns, kind: EventKind::BitFlip, bank, value: row });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.bit_flips += 1;
+        r.event(at_ns, EventKind::BitFlip, bank, row);
     }
 
     /// Record a demand read that served silently corrupted data.
     pub(crate) fn record_corrupted_read(&mut self, at_ns: u64, bank: u32) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.corrupted_reads, 1);
-        self.events.push(TraceEvent { at_ns, kind: EventKind::CorruptedRead, bank, value: 1 });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.corrupted_reads += 1;
+        r.event(at_ns, EventKind::CorruptedRead, bank, 1);
     }
 
     /// Record `count` defense/tracker saturation events on `bank`.
     pub(crate) fn record_saturation(&mut self, at_ns: u64, bank: u32, count: u64) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.add(ids.saturation_events, count);
-        self.events.push(TraceEvent { at_ns, kind: EventKind::Saturation, bank, value: count });
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.saturation_events += count;
+        r.event(at_ns, EventKind::Saturation, bank, count);
     }
 
     /// Latch the run's first TRH crossing (subsequent calls are no-ops).
     pub(crate) fn latch_trh_crossing(&mut self, at_ns: u64) {
-        if !self.enabled || self.trh_latched {
-            return;
+        let Some(r) = self.0.as_deref_mut() else { return };
+        if !r.trh_latched {
+            r.trh_latched = true;
+            r.event(at_ns, EventKind::TrhCrossing, 0, 1);
         }
-        self.trh_latched = true;
-        self.events.push(TraceEvent { at_ns, kind: EventKind::TrhCrossing, bank: 0, value: 1 });
     }
 
     /// Record attacker `index`'s phase, emitting an event on each change.
     pub(crate) fn latch_attack_phase(&mut self, at_ns: u64, index: usize, in_guess: bool) {
-        if !self.enabled {
-            return;
+        let Some(r) = self.0.as_deref_mut() else { return };
+        if r.attacker_in_guess.len() <= index {
+            r.attacker_in_guess.resize(index + 1, false);
         }
-        if self.attacker_in_guess.len() <= index {
-            self.attacker_in_guess.resize(index + 1, false);
-        }
-        if self.attacker_in_guess[index] != in_guess {
-            self.attacker_in_guess[index] = in_guess;
-            self.events.push(TraceEvent {
-                at_ns,
-                kind: EventKind::AttackPhase,
-                bank: u32::try_from(index).unwrap_or(u32::MAX),
-                value: u64::from(in_guess),
-            });
+        if r.attacker_in_guess[index] != in_guess {
+            r.attacker_in_guess[index] = in_guess;
+            let bank = u32::try_from(index).unwrap_or(u32::MAX);
+            r.event(at_ns, EventKind::AttackPhase, bank, u64::from(in_guess));
         }
     }
 
@@ -734,41 +546,45 @@ impl Telemetry {
         tracker_occupancy: u64,
         rit_live_rows: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
-        let Some(ids) = self.ids else { return };
-        self.registry.sample(ids.bank_queue_depth, at_ns, bank_queue_depth);
-        self.registry.sample(ids.deferred_depth, at_ns, deferred_depth);
-        self.registry.sample(ids.tracker_occupancy, at_ns, tracker_occupancy);
-        self.registry.sample(ids.rit_live_rows, at_ns, rit_live_rows);
-        self.next_sample_ns += self.sample_interval_ns;
+        let Some(r) = self.0.as_deref_mut() else { return };
+        r.bank_queue_depth.push((at_ns, bank_queue_depth));
+        r.deferred_depth.push((at_ns, deferred_depth));
+        r.tracker_occupancy.push((at_ns, tracker_occupancy));
+        r.rit_live_rows.push((at_ns, rit_live_rows));
+        r.next_sample_ns += r.sample_interval_ns;
     }
 
-    /// Freeze the recorder into its report (`None` when disarmed).
+    /// Freeze the recorder into its report (`None` when disarmed), leaving
+    /// it disarmed.
     #[must_use]
     pub(crate) fn take_report(&mut self) -> Option<TelemetryReport> {
-        if !self.enabled {
-            return None;
-        }
-        let registry = std::mem::take(&mut self.registry);
+        let r = *self.0.take()?;
+        let series = |name: &str, ring: Ring<(u64, u64)>| {
+            (name.to_string(), SampleSeries { samples: ring.in_order(), dropped: ring.dropped })
+        };
         Some(TelemetryReport {
-            sample_interval_ns: self.sample_interval_ns,
-            events: self.events.in_order(),
-            events_dropped: self.events.dropped,
-            counters: registry.counters.iter().map(|(n, v)| ((*n).to_string(), *v)).collect(),
-            histograms: registry
-                .histograms
-                .iter()
-                .map(|(n, h)| ((*n).to_string(), h.clone()))
-                .collect(),
-            series: registry
-                .series
-                .iter()
-                .map(|(n, s)| {
-                    ((*n).to_string(), SampleSeries { samples: s.in_order(), dropped: s.dropped })
-                })
-                .collect(),
+            sample_interval_ns: r.sample_interval_ns,
+            events: r.events.in_order(),
+            events_dropped: r.events.dropped,
+            counters: vec![
+                ("mitigation_triggers".to_string(), r.mitigation_triggers),
+                ("maintenance_ops".to_string(), r.maintenance_ops),
+                ("queue_stalls".to_string(), r.queue_stalls),
+                ("reads_completed".to_string(), r.reads_completed),
+                ("bit_flips".to_string(), r.bit_flips),
+                ("corrupted_reads".to_string(), r.corrupted_reads),
+                ("saturation_events".to_string(), r.saturation_events),
+            ],
+            histograms: vec![
+                ("memory_latency_ns".to_string(), r.memory_latency_ns),
+                ("swap_stall_ns".to_string(), r.swap_stall_ns),
+            ],
+            series: vec![
+                series("bank_queue_depth", r.bank_queue_depth),
+                series("deferred_depth", r.deferred_depth),
+                series("tracker_occupancy", r.tracker_occupancy),
+                series("rit_live_rows", r.rit_live_rows),
+            ],
         })
     }
 }
@@ -793,11 +609,11 @@ pub struct TelemetryReport {
     pub events: Vec<TraceEvent>,
     /// Events overwritten because the event ring was full.
     pub events_dropped: u64,
-    /// Named monotonic counters, in registration order.
+    /// Named monotonic counters, in the recorder's fixed order.
     pub counters: Vec<(String, u64)>,
-    /// Named log2-bucket histograms, in registration order.
+    /// Named log2-bucket histograms, in the recorder's fixed order.
     pub histograms: Vec<(String, Log2Histogram)>,
-    /// Named sampled gauges, in registration order.
+    /// Named sampled gauges, in the recorder's fixed order.
     pub series: Vec<(String, SampleSeries)>,
 }
 
@@ -849,100 +665,6 @@ impl ToJson for TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Decode the [`ToJson`] encoding (the exact inverse: a report survives
-    /// encode → parse → decode bit for bit; property-tested in
-    /// `tests/telemetry_roundtrip.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed field.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let mut report = Self {
-            sample_interval_ns: json
-                .get("sample_interval_ns")
-                .and_then(Json::as_u64)
-                .ok_or("telemetry.sample_interval_ns must be an integer")?,
-            events_dropped: json
-                .get("events_dropped")
-                .and_then(Json::as_u64)
-                .ok_or("telemetry.events_dropped must be an integer")?,
-            ..Self::default()
-        };
-        let events = json
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or("telemetry.events must be an array")?;
-        for event in events {
-            let fields =
-                event.as_array().filter(|f| f.len() == 4).ok_or("event must be a 4-tuple")?;
-            report.events.push(TraceEvent {
-                at_ns: fields[0].as_u64().ok_or("event time must be an integer")?,
-                kind: fields[1]
-                    .as_str()
-                    .and_then(EventKind::from_label)
-                    .ok_or("unknown event kind")?,
-                bank: fields[2]
-                    .as_u64()
-                    .and_then(|b| u32::try_from(b).ok())
-                    .ok_or("event bank out of range")?,
-                value: fields[3].as_u64().ok_or("event value must be an integer")?,
-            });
-        }
-        for (key, entries) in [("counters", &mut report.counters)] {
-            let array = json
-                .get(key)
-                .and_then(Json::as_array)
-                .ok_or("telemetry.counters must be an array")?;
-            for entry in array {
-                let pair =
-                    entry.as_array().filter(|p| p.len() == 2).ok_or("counter must be a pair")?;
-                entries.push((
-                    pair[0].as_str().ok_or("counter name must be a string")?.to_string(),
-                    pair[1].as_u64().ok_or("counter value must be an integer")?,
-                ));
-            }
-        }
-        let histograms = json
-            .get("histograms")
-            .and_then(Json::as_array)
-            .ok_or("telemetry.histograms must be an array")?;
-        for entry in histograms {
-            let pair =
-                entry.as_array().filter(|p| p.len() == 2).ok_or("histogram must be a pair")?;
-            report.histograms.push((
-                pair[0].as_str().ok_or("histogram name must be a string")?.to_string(),
-                Log2Histogram::from_json(&pair[1])?,
-            ));
-        }
-        let series = json
-            .get("series")
-            .and_then(Json::as_array)
-            .ok_or("telemetry.series must be an array")?;
-        for entry in series {
-            let pair = entry.as_array().filter(|p| p.len() == 2).ok_or("series must be a pair")?;
-            let name = pair[0].as_str().ok_or("series name must be a string")?.to_string();
-            let dropped = pair[1]
-                .get("dropped")
-                .and_then(Json::as_u64)
-                .ok_or("series.dropped must be an integer")?;
-            let samples = pair[1]
-                .get("samples")
-                .and_then(Json::as_array)
-                .ok_or("series.samples must be an array")?;
-            let mut decoded = Vec::with_capacity(samples.len());
-            for sample in samples {
-                let point =
-                    sample.as_array().filter(|p| p.len() == 2).ok_or("sample must be a pair")?;
-                decoded.push((
-                    point[0].as_u64().ok_or("sample time must be an integer")?,
-                    point[1].as_u64().ok_or("sample value must be an integer")?,
-                ));
-            }
-            report.series.push((name, SampleSeries { samples: decoded, dropped }));
-        }
-        Ok(report)
-    }
-
     /// Render this report as a Chrome/Perfetto trace-event JSON document
     /// (`{"displayTimeUnit": "ns", "traceEvents": [...]}`): maintenance
     /// operations become complete slices (`ph: "X"`, one track per bank),
@@ -1000,19 +722,19 @@ impl TelemetryReport {
         obj(vec![("displayTimeUnit", "ns".into()), ("traceEvents", Json::Array(trace_events))])
     }
 
-    /// The value of a named counter, if registered.
+    /// The value of a named counter, if the report has one.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// A named histogram, if registered.
+    /// A named histogram, if the report has one.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// A named sample series, if registered.
+    /// A named sample series, if the report has one.
     #[must_use]
     pub fn series(&self, name: &str) -> Option<&SampleSeries> {
         self.series.iter().find(|(n, _)| n == name).map(|(_, s)| s)
@@ -1095,7 +817,7 @@ mod tests {
 
     #[test]
     fn event_ring_overwrites_oldest_and_counts_drops() {
-        let mut ring = EventRing::new(2);
+        let mut ring = Ring::new(2);
         for at_ns in 0..5u64 {
             ring.push(TraceEvent { at_ns, kind: EventKind::Swap, bank: 0, value: 0 });
         }
@@ -1119,8 +841,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), u64::MAX, "sum saturates");
         assert_eq!(h.occupied(), vec![(0, 1), (64, 2)]);
-        let back = Log2Histogram::from_json(&h.to_json()).unwrap();
-        assert_eq!(back, h);
     }
 
     #[test]
@@ -1170,31 +890,9 @@ mod tests {
         telemetry.sample(50, 1, 2, 3, 4);
         telemetry.record_op(60, EventKind::UnswapSwap, 2, 4_000);
         telemetry.record_read_latency(u64::MAX);
-        let report = telemetry.take_report().unwrap();
-        let back = TelemetryReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn event_kind_labels_round_trip() {
-        for kind in [
-            EventKind::Swap,
-            EventKind::UnswapSwap,
-            EventKind::PlaceBack,
-            EventKind::CounterAccess,
-            EventKind::RowPin,
-            EventKind::MitigationTrigger,
-            EventKind::TrhCrossing,
-            EventKind::AttackPhase,
-            EventKind::QueueStall,
-            EventKind::SearchPhase,
-            EventKind::BitFlip,
-            EventKind::CorruptedRead,
-            EventKind::Saturation,
-        ] {
-            assert_eq!(EventKind::from_label(kind.label()), Some(kind));
-        }
-        assert_eq!(EventKind::from_label("nope"), None);
+        let json = telemetry.take_report().unwrap().to_json();
+        assert_eq!(Json::parse(&json.to_compact()).unwrap(), json);
+        assert_eq!(Json::parse(&json.to_pretty()).unwrap(), json);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Property tests for the telemetry codec: a [`TelemetryReport`] survives
-//! JSON encode → parse → decode bit for bit, including hostile metric
-//! names (control characters, quotes, backslashes), full-range `u64`
-//! timestamps and values, and histogram populations sitting exactly on
-//! log2 bucket boundaries.
+//! Property tests for the telemetry wire format: a [`TelemetryReport`]'s
+//! JSON encoding survives print → parse as the identical JSON value,
+//! compact and pretty, including hostile metric names (control
+//! characters, quotes, backslashes), full-range `u64` timestamps and
+//! values, and histogram populations sitting exactly on log2 bucket
+//! boundaries. The sidecar is read as plain JSON, so this is the whole
+//! contract.
 
 use proptest::prelude::*;
 
@@ -11,16 +13,21 @@ use scale_srs::sim::telemetry::{
 };
 use scale_srs::sim::{Json, ToJson};
 
-const KIND_LABELS: [&str; 9] = [
-    "swap",
-    "unswap-swap",
-    "place-back",
-    "counter-access",
-    "row-pin",
-    "mitigation-trigger",
-    "trh-crossing",
-    "attack-phase",
-    "queue-stall",
+/// Every event kind with the label the sidecar's kind column carries.
+const KINDS: [(EventKind, &str); 13] = [
+    (EventKind::Swap, "swap"),
+    (EventKind::UnswapSwap, "unswap-swap"),
+    (EventKind::PlaceBack, "place-back"),
+    (EventKind::CounterAccess, "counter-access"),
+    (EventKind::RowPin, "row-pin"),
+    (EventKind::MitigationTrigger, "mitigation-trigger"),
+    (EventKind::TrhCrossing, "trh-crossing"),
+    (EventKind::AttackPhase, "attack-phase"),
+    (EventKind::QueueStall, "queue-stall"),
+    (EventKind::SearchPhase, "search-phase"),
+    (EventKind::BitFlip, "bit-flip"),
+    (EventKind::CorruptedRead, "corrupted-read"),
+    (EventKind::Saturation, "saturation"),
 ];
 
 /// Build a name from raw bytes, keeping ASCII (control characters
@@ -30,12 +37,9 @@ fn name_from_bytes(bytes: &[u8]) -> String {
 }
 
 fn roundtrip(report: &TelemetryReport) {
-    let compact = report.to_json().to_compact();
-    let parsed = Json::parse(&compact).expect("compact encoding parses");
-    assert_eq!(&TelemetryReport::from_json(&parsed).unwrap(), report);
-    let pretty = report.to_json().to_pretty();
-    let parsed = Json::parse(&pretty).expect("pretty encoding parses");
-    assert_eq!(&TelemetryReport::from_json(&parsed).unwrap(), report);
+    let json = report.to_json();
+    assert_eq!(Json::parse(&json.to_compact()).expect("compact encoding parses"), json);
+    assert_eq!(Json::parse(&json.to_pretty()).expect("pretty encoding parses"), json);
 }
 
 proptest! {
@@ -46,7 +50,7 @@ proptest! {
         // Full-range timestamps and values: integers must stay exact
         // through the codec, not round through an f64.
         raw_events in prop::collection::vec(
-            (0u64..=u64::MAX, prop::sample::select(KIND_LABELS.to_vec()),
+            (0u64..=u64::MAX, prop::sample::select(KINDS.map(|(kind, _)| kind).to_vec()),
              0u32..=u32::MAX, 0u64..=u64::MAX),
             0..12,
         ),
@@ -60,12 +64,7 @@ proptest! {
     ) {
         let events = raw_events
             .iter()
-            .map(|&(at_ns, label, bank, value)| TraceEvent {
-                at_ns,
-                kind: EventKind::from_label(label).unwrap(),
-                bank,
-                value,
-            })
+            .map(|&(at_ns, kind, bank, value)| TraceEvent { at_ns, kind, bank, value })
             .collect();
         let mut histogram = Log2Histogram::new();
         for &value in &histogram_values {
@@ -146,13 +145,17 @@ fn histogram_bucket_boundaries_are_exact() {
     roundtrip(&report);
 }
 
+/// Each kind writes its pinned label, and the 13 labels are distinct, so
+/// a reader of the sidecar's kind column maps every label back to exactly
+/// the kind that wrote it.
 #[test]
 fn every_event_kind_label_round_trips() {
-    for label in KIND_LABELS {
-        let kind = EventKind::from_label(label).expect(label);
-        assert_eq!(kind.label(), label);
+    for (kind, label) in KINDS {
+        assert_eq!(kind.label(), label, "{kind:?}");
+        let writers: Vec<EventKind> =
+            KINDS.iter().map(|&(k, _)| k).filter(|k| k.label() == label).collect();
+        assert_eq!(writers, [kind], "label '{label}' names exactly one kind");
     }
-    assert_eq!(EventKind::from_label("not-a-kind"), None);
 }
 
 #[test]
