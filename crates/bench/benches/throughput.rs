@@ -106,7 +106,7 @@ fn grid(smoke: bool) -> Vec<Cell> {
 /// hammering cells, without the compute-bound ones. These runs spend
 /// nearly every tick inside the controller's scheduling sweep and
 /// activation pipeline, which makes them the cells the batched drain, the
-/// chunked scans and the arena queues actually move — the compute cells
+/// chunked scans and the bank queues actually move — the compute cells
 /// mostly measure the time-skip engine instead.
 fn saturated_grid(smoke: bool) -> Vec<Cell> {
     grid(smoke).into_iter().filter(|cell| !cell.label.ends_with("/compute")).collect()
@@ -309,8 +309,9 @@ const RECORDED_SEED_RUNS: usize = 12;
 /// observer, `VecDeque`-of-`Option` bank queues with tombstone compaction,
 /// scalar Misra-Gries eviction scans, gather-based RIT stale walks),
 /// measured once on the full saturated grid on this machine before the
-/// batched/SIMD/arena work landed. Same protocol as the seed baseline:
-/// best-of-7, comparable to live numbers only on similar hardware.
+/// batched drain, the SIMD scans and the (since removed) slab-arena queues
+/// landed. Same protocol as the seed baseline: best-of-7, comparable to
+/// live numbers only on similar hardware.
 const RECORDED_PR5_SATURATED_WALL_SECONDS: f64 = 0.04305;
 const RECORDED_PR5_SATURATED_SIMULATED_NS: u64 = 6_733_100;
 const RECORDED_PR5_SATURATED_RUNS: usize = 9;

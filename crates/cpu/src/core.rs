@@ -58,6 +58,9 @@ pub struct CoreStats {
     pub stall_ns: u64,
 }
 
+/// Instruction counts whose issue charge [`TraceCore`] memoizes.
+const CHARGE_MEMO: usize = 128;
+
 /// A single trace-driven core.
 ///
 /// The trace records are held behind an `Arc` so that rate-mode simulations
@@ -73,10 +76,12 @@ pub struct TraceCore {
     /// Cached `retire_width * clock_ghz` — the per-issue charge is a single
     /// f64 division by this product instead of two chained divisions.
     retire_per_ns: f64,
-    /// Memo of the last (instruction count, charge) pair: trace records
-    /// repeat a handful of small instruction counts, so the division (and
-    /// `ceil` libcall) is skipped on nearly every issue.
-    last_charge: (u64, u64),
+    /// Memo of the charge of each instruction count below
+    /// [`CHARGE_MEMO`], 0 until first computed (a charge is at least 1).
+    /// Trace records draw their counts from a small range, so the division
+    /// (and `ceil` libcall) runs about once per count instead of once per
+    /// issue.
+    charges: [u64; CHARGE_MEMO],
     records: Arc<[TraceRecord]>,
     /// Added (wrapping) to every record address at issue time, giving each
     /// core a private copy of the workload's address space in rate mode.
@@ -116,7 +121,7 @@ impl TraceCore {
             config,
             runahead_ns,
             retire_per_ns,
-            last_charge: (0, 1),
+            charges: [0; CHARGE_MEMO],
             records,
             addr_offset,
             position: 0,
@@ -225,13 +230,7 @@ impl TraceCore {
         }
         let insts = record.instructions();
         self.stats.retired_instructions += insts;
-        let charge_ns = if self.last_charge.0 == insts {
-            self.last_charge.1
-        } else {
-            let charge = ((insts as f64 / self.retire_per_ns).ceil() as u64).max(1);
-            self.last_charge = (insts, charge);
-            charge
-        };
+        let charge_ns = self.charge_ns(insts);
         self.ready_at_ns = self.ready_at_ns.max(now) + charge_ns;
 
         let token = AccessToken(self.next_token);
@@ -244,6 +243,23 @@ impl TraceCore {
             self.outstanding.push(OutstandingRead { token, blocks_at_ns: now + self.runahead_ns });
         }
         Some(MemoryIssue { token, addr: record.addr.wrapping_add(self.addr_offset), is_write })
+    }
+
+    /// Nanoseconds charged for retiring `insts` instructions at the retire
+    /// width.
+    #[inline]
+    fn charge_ns(&mut self, insts: u64) -> u64 {
+        let retire_per_ns = self.retire_per_ns;
+        let compute = || ((insts as f64 / retire_per_ns).ceil() as u64).max(1);
+        match self.charges.get_mut(usize::try_from(insts).unwrap_or(usize::MAX)) {
+            Some(slot) => {
+                if *slot == 0 {
+                    *slot = compute();
+                }
+                *slot
+            }
+            None => compute(),
+        }
     }
 
     /// The earliest time at which this core could issue its next memory
@@ -441,6 +457,29 @@ mod tests {
             }
             now += 10;
         }
+    }
+
+    #[test]
+    fn issue_charges_follow_the_retire_width_for_every_count() {
+        // Counts 7, 1, 81 and 300 alternate, so each repeats only after
+        // the others: every issue must land at the ready time the formula
+        // gives, whether its charge is freshly computed, memoized, or (for
+        // 300) past the memo.
+        let counts = [7u32, 1, 81, 300];
+        let records = counts
+            .iter()
+            .map(|&insts| TraceRecord { nonmem_insts: insts - 1, op: MemOp::Write, addr: 0 })
+            .collect();
+        let config = CoreConfig { target_instructions: 1_000_000, ..CoreConfig::default() };
+        let mut c = TraceCore::new(config, Trace::new("counts", records));
+        let retire_per_ns = f64::from(config.retire_width) * config.clock_ghz;
+        let mut now = 0;
+        for &insts in counts.iter().cycle().take(3 * counts.len()) {
+            assert_eq!(c.next_ready_ns(now), Some(now));
+            c.try_issue(now).expect("a write-only core is never blocked");
+            now += ((f64::from(insts) / retire_per_ns).ceil() as u64).max(1);
+        }
+        assert_eq!(c.next_ready_ns(now), Some(now));
     }
 
     #[test]

@@ -143,6 +143,11 @@ impl PowDiv {
             v % self.divisor
         }
     }
+
+    #[inline]
+    pub(crate) fn divisor(self) -> u64 {
+        self.divisor
+    }
 }
 
 /// Maps physical addresses to DRAM coordinates and back.
@@ -162,6 +167,7 @@ pub struct AddressMapper {
     banks_per_rank: PowDiv,
     ranks_per_channel: PowDiv,
     rows_per_bank: PowDiv,
+    banks_per_channel: PowDiv,
 }
 
 impl AddressMapper {
@@ -175,6 +181,9 @@ impl AddressMapper {
             banks_per_rank: PowDiv::new(config.banks_per_rank as u64),
             ranks_per_channel: PowDiv::new(config.ranks_per_channel as u64),
             rows_per_bank: PowDiv::new(config.rows_per_bank),
+            banks_per_channel: PowDiv::new(
+                (config.ranks_per_channel * config.banks_per_rank) as u64,
+            ),
             config,
         }
     }
@@ -229,7 +238,7 @@ impl AddressMapper {
         v = v * c.ranks_per_channel as u64 + addr.rank as u64;
         v = v * c.banks_per_rank as u64 + addr.bank as u64;
         v = v * c.channels as u64 + addr.channel as u64;
-        v = v * c.lines_per_row() + (addr.column % c.lines_per_row());
+        v = v * self.lines_per_row.divisor() + self.lines_per_row.rem(addr.column);
         Ok(PhysAddr::new(v * c.line_size_bytes))
     }
 
@@ -251,12 +260,18 @@ impl AddressMapper {
         if bank.index() >= total {
             return Err(DramError::BankOutOfRange { bank: bank.index(), total_banks: total });
         }
-        let per_channel = c.ranks_per_channel * c.banks_per_rank;
-        let channel = bank.index() / per_channel;
-        let within = bank.index() % per_channel;
-        let rank = within / c.banks_per_rank;
-        let bank_in_rank = within % c.banks_per_rank;
+        let index = bank.index() as u64;
+        let channel = self.banks_per_channel.div(index) as usize;
+        let within = self.banks_per_channel.rem(index);
+        let rank = self.banks_per_rank.div(within) as usize;
+        let bank_in_rank = self.banks_per_rank.rem(within) as usize;
         self.encode(&DramAddress { channel, rank, bank: bank_in_rank, row, column: 0 })
+    }
+
+    /// The channel global `bank` belongs to.
+    #[inline]
+    pub(crate) fn channel_of(&self, bank: BankId) -> usize {
+        self.banks_per_channel.div(bank.index() as u64) as usize
     }
 }
 

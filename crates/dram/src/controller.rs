@@ -1,15 +1,12 @@
 //! The memory controller: per-bank transaction queues, FR-FCFS scheduling,
 //! refresh, maintenance (mitigation) operations and activation accounting.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-use crate::address::{AddressMapper, BankId, PhysAddr, PowDiv, RowId};
-use crate::arena::{Arena, Fifo, Vacant, NIL};
+use crate::address::{AddressMapper, BankId, RowId};
 use crate::bank::Bank;
 use crate::command::{
-    AccessKind, ActivationEvent, CompletedAccess, MaintenanceKind, MaintenanceOp, MemRequest,
-    RequestId,
+    AccessKind, ActivationEvent, CompletedAccess, MaintenanceOp, MemRequest, RequestId,
 };
 use crate::config::{DramConfig, PagePolicy};
 use crate::error::DramError;
@@ -25,40 +22,8 @@ struct PendingRequest {
     row: RowId,
 }
 
-impl Vacant for PendingRequest {
-    fn vacant() -> Self {
-        Self {
-            id: RequestId(0),
-            request: MemRequest::new(PhysAddr::new(0), AccessKind::Read, 0, 0),
-            row: 0,
-        }
-    }
-}
-
-impl Vacant for MaintenanceOp {
-    fn vacant() -> Self {
-        MaintenanceOp::new(BankId::new(0), 0, Vec::new(), MaintenanceKind::Other)
-    }
-}
-
-impl Vacant for CompletedAccess {
-    fn vacant() -> Self {
-        Self {
-            request_id: RequestId(0),
-            request: MemRequest::new(PhysAddr::new(0), AccessKind::Read, 0, 0),
-            finish_ns: 0,
-            row_hit: false,
-        }
-    }
-}
-
 /// A dense bit set over bank indices, used to track which banks currently
-/// have demand or maintenance work queued.
-///
-/// The set answers the membership question behind the lazy wake-heap
-/// scheme: a popped alarm for a bank no longer in the set is stale and gets
-/// dropped, and an enqueue only arms a new alarm on the no-work → work
-/// transition the set detects.
+/// have demand or maintenance work queued, or completions undelivered.
 #[derive(Debug, Clone, Default)]
 struct BankSet {
     words: Vec<u64>,
@@ -85,6 +50,19 @@ impl BankSet {
     }
 }
 
+/// The banks whose bits are set in `bits`, the `word`-th word of a
+/// [`BankSet`], in ascending order. The word is a copy, so the caller may
+/// change the set while it walks.
+fn banks_in(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bank = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            bank
+        })
+    })
+}
+
 /// A transaction-level DDR4 memory controller.
 ///
 /// The controller owns one [`Bank`] model per global bank, a per-channel
@@ -93,12 +71,11 @@ impl BankSet {
 /// first-come-first-served) and maintenance operations take priority over
 /// demand requests of the same bank.
 ///
-/// All per-bank queues — demand transactions, maintenance operations, and
-/// undelivered completions — live in three shared slab `Arena`s threaded
-/// with intrusive per-bank FIFOs. Enqueue/dequeue touch no allocator after
-/// warm-up, the FR-FCFS mid-queue removal is a pointer splice, and cloning
-/// the controller (the `System::fork` snapshot primitive) copies a handful
-/// of flat arrays instead of three `VecDeque`s per bank.
+/// Each bank has three `VecDeque`s: demand transactions, maintenance
+/// operations, and undelivered completions. Two bank bitmasks name the
+/// banks holding work and the banks holding completions, so a tick walks
+/// only those banks, in ascending bank order, and folds the next-event
+/// hint as it goes.
 ///
 /// Events stream out rather than buffering up: activations issued during a
 /// bank's scheduling visit are delivered to the caller's [`ActivationSink`]
@@ -118,18 +95,15 @@ pub struct MemoryController {
     config: DramConfig,
     mapper: AddressMapper,
     banks: Vec<Bank>,
-    /// Slab behind every bank's demand transaction queue.
-    requests: Arena<PendingRequest>,
-    queues: Vec<Fifo>,
-    /// Slab behind every bank's maintenance queue.
-    maint_arena: Arena<MaintenanceOp>,
-    maintenance: Vec<Fifo>,
+    /// Each bank's demand transaction queue, oldest first.
+    queues: Vec<VecDeque<PendingRequest>>,
+    /// Each bank's maintenance queue, oldest first.
+    maintenance: Vec<VecDeque<MaintenanceOp>>,
     bus_free_ns: Vec<Nanos>,
     next_refresh_ns: Vec<Nanos>,
     next_window_ns: Nanos,
-    /// Slab behind every bank's undelivered-completion queue.
-    done_arena: Arena<CompletedAccess>,
-    completions: Vec<Fifo>,
+    /// Each bank's undelivered completions, sorted by finish time.
+    completions: Vec<VecDeque<CompletedAccess>>,
     /// Exact count of undelivered completions across all banks, maintained
     /// incrementally so [`MemoryController::pending_completions`] — queried
     /// every drain step — never walks the queues.
@@ -138,32 +112,15 @@ pub struct MemoryController {
     /// cleared by the scheduling visit that drains the bank, so ticks can
     /// skip every unset bank.
     work_banks: BankSet,
-    /// Lazy min-heap of `(wake_ns, bank)` scheduling alarms. Invariant:
-    /// every bank in `work_banks` has at least one entry whose wake time is
-    /// at or before the moment the bank can actually schedule, so a tick
-    /// only pops the banks that are due instead of sweeping every bank with
-    /// work. Entries are allowed to go stale (the bank drained, or a
-    /// refresh pushed its busy time out); a stale pop is dropped or
-    /// re-armed, never acted on.
-    work_wakes: BinaryHeap<Reverse<(Nanos, u32)>>,
-    /// Lazy min-heap of `(finish_ns, bank)` completion alarms: one live
-    /// entry per bank with undelivered completions, keyed by the finish
-    /// time at the front of that bank's (sorted) completion queue.
-    done_wakes: BinaryHeap<Reverse<(Nanos, u32)>>,
-    /// Scratch list of due bank indices for one tick, reused across ticks.
-    /// The due set is sorted ascending before the banks are visited, so the
-    /// visit order matches the full sweep (bank order is observable through
-    /// the shared channel bus).
-    due_scratch: Vec<u32>,
+    /// Banks with undelivered completions: set when a demand access is
+    /// scheduled, cleared when the bank's last completion is delivered.
+    done_banks: BankSet,
     /// Exact count of queued demand requests plus maintenance operations
     /// (the original `is_idle` definition, kept O(1)).
     outstanding_work: usize,
-    /// Banks per channel, as a division with a power-of-two fast path (the
-    /// channel lookup runs once per scheduled access).
-    banks_per_channel: PowDiv,
     /// Dense mirror of each bank's busy-until time, updated alongside every
-    /// occupancy change. The per-tick ready mask reads this contiguous
-    /// array instead of striding through the banks.
+    /// occupancy change. The scheduling walk reads this contiguous array
+    /// instead of striding through the banks.
     busy_mirror: Vec<Nanos>,
     /// Running minimum of the controller's next event time, recomputed from
     /// scratch on every [`MemoryController::tick_into`] and lowered by
@@ -209,24 +166,16 @@ impl MemoryController {
         let mapper = AddressMapper::new(config.clone());
         Ok(Self {
             banks: vec![Bank::new(); total_banks],
-            requests: Arena::with_capacity(total_banks * 4),
-            queues: vec![Fifo::default(); total_banks],
-            maint_arena: Arena::with_capacity(total_banks),
-            maintenance: vec![Fifo::default(); total_banks],
+            queues: vec![VecDeque::new(); total_banks],
+            maintenance: vec![VecDeque::new(); total_banks],
             bus_free_ns: vec![0; config.channels],
             next_refresh_ns: vec![config.timing.t_refi; total_ranks],
             next_window_ns: config.refresh_window_ns,
-            done_arena: Arena::with_capacity(total_banks * 4),
-            completions: vec![Fifo::default(); total_banks],
+            completions: vec![VecDeque::new(); total_banks],
             pending_completion_count: 0,
             work_banks: BankSet::new(total_banks),
-            work_wakes: BinaryHeap::with_capacity(total_banks * 2),
-            done_wakes: BinaryHeap::with_capacity(total_banks * 2),
-            due_scratch: Vec::with_capacity(total_banks),
+            done_banks: BankSet::new(total_banks),
             outstanding_work: 0,
-            banks_per_channel: PowDiv::new(
-                (config.ranks_per_channel * config.banks_per_rank) as u64,
-            ),
             busy_mirror: vec![0; total_banks],
             next_event_hint: config.timing.t_refi.min(config.refresh_window_ns),
             act_batch: Vec::with_capacity(16),
@@ -269,7 +218,7 @@ impl MemoryController {
     /// Total requests queued across all banks.
     #[must_use]
     pub fn total_queued(&self) -> usize {
-        self.queues.iter().map(Fifo::len).sum()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Whether the controller has any outstanding demand or maintenance work.
@@ -323,8 +272,8 @@ impl MemoryController {
         }
         let id = RequestId(self.next_request_id);
         self.next_request_id += 1;
-        self.requests.push_back(&mut self.queues[idx], PendingRequest { id, request, row });
-        self.arm_work_bank(idx);
+        self.queues[idx].push_back(PendingRequest { id, request, row });
+        self.work_banks.insert(idx);
         self.outstanding_work += 1;
         // The bank becomes schedulable once free (possibly immediately; the
         // clamp in `next_event_ns` turns a past time into "next tick").
@@ -349,8 +298,8 @@ impl MemoryController {
         if idx >= self.banks.len() {
             return Err(DramError::BankOutOfRange { bank: idx, total_banks: self.banks.len() });
         }
-        self.maint_arena.push_back(&mut self.maintenance[idx], op);
-        self.arm_work_bank(idx);
+        self.maintenance[idx].push_back(op);
+        self.work_banks.insert(idx);
         self.outstanding_work += 1;
         self.next_event_hint = self.next_event_hint.min(self.busy_mirror[idx]);
         Ok(())
@@ -382,11 +331,11 @@ impl MemoryController {
     /// deadline (those recur forever), so the result is always defined.
     ///
     /// O(1): [`MemoryController::tick_into`] recomputes the underlying hint
-    /// during its scheduling sweep (the busy times are already in hand
-    /// there), and the enqueue paths lower it in between; this method only
-    /// clamps the hint into the future. The hint never runs late (a missed
-    /// event would change simulation results); at worst an enqueue to an
-    /// already-free bank reports "next tick" once.
+    /// during its two bank walks (the busy and finish times are already in
+    /// hand there), and the enqueue paths lower it in between; this method
+    /// only clamps the hint into the future. The hint never runs late (a
+    /// missed event would change simulation results); at worst an enqueue
+    /// to an already-free bank reports "next tick" once.
     #[must_use]
     pub fn next_event_ns(&self, now: Nanos) -> Nanos {
         self.next_event_hint.max(now + 1)
@@ -401,90 +350,45 @@ impl MemoryController {
     pub fn tick_into(&mut self, now: Nanos, sink: &mut (impl ActivationSink + AccessSink)) {
         self.handle_window_rollover(now);
         self.handle_refresh(now);
-        // Scheduling, driven by the wake heap: pop every alarm that has
-        // come due, then visit the due banks in ascending bank order (the
-        // order the full sweep used — bank order is observable through the
-        // shared channel bus). Banks that turn out not to be ready (a
-        // refresh pushed their busy time past the alarm) re-arm at their
-        // true wake time; alarms for drained banks are dropped.
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        while let Some(&Reverse((wake, bank))) = self.work_wakes.peek() {
-            if wake > now {
-                break;
-            }
-            self.work_wakes.pop();
-            if self.work_banks.contains(bank as usize) {
-                due.push(bank);
-            }
-        }
-        if due.len() > 1 {
-            due.sort_unstable();
-            due.dedup();
-        }
-        for &bank in &due {
-            let bank_idx = bank as usize;
-            if self.busy_mirror[bank_idx] <= now {
-                self.schedule_bank(bank_idx, now, sink);
-            }
-            if self.work_banks.contains(bank_idx) {
-                // Work remains behind the bank's (possibly new) busy time.
-                self.work_wakes.push(Reverse((self.busy_mirror[bank_idx], bank)));
-            }
-        }
-        // Completion delivery, same due-alarm scheme keyed by each bank's
-        // front finish time (finish times are kept sorted per bank).
-        due.clear();
-        while let Some(&Reverse((wake, bank))) = self.done_wakes.peek() {
-            if wake > now {
-                break;
-            }
-            self.done_wakes.pop();
-            due.push(bank);
-        }
-        if due.len() > 1 {
-            due.sort_unstable();
-            due.dedup();
-        }
-        for &bank in &due {
-            let bank_idx = bank as usize;
-            let queue = &mut self.completions[bank_idx];
-            while self.done_arena.front(queue).is_some_and(|c| c.finish_ns <= now) {
-                let Some(done) = self.done_arena.pop_front(queue) else { break };
-                self.pending_completion_count -= 1;
-                sink.on_access(&done);
-            }
-            if let Some(pending) = self.done_arena.front(&self.completions[bank_idx]) {
-                let finish = pending.finish_ns;
-                self.done_wakes.push(Reverse((finish, bank)));
-            }
-        }
-        self.due_scratch = due;
-        // The next-event hint is the earliest surviving alarm (alarms never
-        // run late — at worst a stale-early one costs a no-op visit), or
-        // the next periodic deadline.
         let mut hint = self.next_window_ns;
-        if let Some(&Reverse((wake, _))) = self.work_wakes.peek() {
-            hint = hint.min(wake);
-        }
-        if let Some(&Reverse((wake, _))) = self.done_wakes.peek() {
-            hint = hint.min(wake);
-        }
         for &refresh in &self.next_refresh_ns {
             hint = hint.min(refresh);
         }
-        self.next_event_hint = hint;
-    }
-
-    /// Mark a bank as having queued work and, on the no-work → work
-    /// transition, arm a scheduling alarm at its current busy-until time.
-    /// Banks already armed keep their existing (never-late) alarm.
-    #[inline]
-    fn arm_work_bank(&mut self, idx: usize) {
-        if !self.work_banks.contains(idx) {
-            self.work_banks.insert(idx);
-            self.work_wakes.push(Reverse((self.busy_mirror[idx], idx as u32)));
+        // Scheduling: every bank with work that is free at `now`, in
+        // ascending bank order (bank order is observable through the shared
+        // channel bus). Nothing enqueues during a drain — mitigation
+        // feedback waits for the caller — and a visit changes no other
+        // bank's busy time, so the set of banks to visit is fixed before
+        // the walk starts. A bank left holding work is busy past `now`, and
+        // its busy time is when it can schedule next.
+        for word in 0..self.work_banks.words.len() {
+            for bank in banks_in(word, self.work_banks.words[word]) {
+                if self.busy_mirror[bank] <= now {
+                    self.schedule_bank(bank, now, sink);
+                }
+                if self.work_banks.contains(bank) {
+                    hint = hint.min(self.busy_mirror[bank]);
+                }
+            }
         }
+        // Completion delivery, in ascending bank order: each bank's
+        // completions up to `now` (finish times are kept sorted per bank),
+        // after which its front finish time is when it delivers next.
+        // Accesses scheduled above finish after `now`.
+        for word in 0..self.done_banks.words.len() {
+            for bank in banks_in(word, self.done_banks.words[word]) {
+                let queue = &mut self.completions[bank];
+                while let Some(done) = queue.pop_front_if(|c| c.finish_ns <= now) {
+                    self.pending_completion_count -= 1;
+                    sink.on_access(&done);
+                }
+                match queue.front() {
+                    Some(pending) => hint = hint.min(pending.finish_ns),
+                    None => self.done_banks.remove(bank),
+                }
+            }
+        }
+        self.next_event_hint = hint;
     }
 
     /// Advance until all queued demand and maintenance work has completed
@@ -543,7 +447,7 @@ impl MemoryController {
                 break;
             }
             // Maintenance has priority.
-            if let Some(op) = self.maint_arena.pop_front(&mut self.maintenance[bank_idx]) {
+            if let Some(op) = self.maintenance[bank_idx].pop_front() {
                 self.outstanding_work -= 1;
                 self.execute_maintenance(bank_idx, &op, now);
                 continue;
@@ -580,32 +484,18 @@ impl MemoryController {
     }
 
     /// FR-FCFS: remove and return the oldest request that hits the open
-    /// row, falling back to the oldest request overall. One walk of the
-    /// bank's intrusive queue with a trailing predecessor makes the
-    /// mid-queue removal an O(1) splice (the relative order of the
-    /// remaining requests — the FCFS tiebreak — is untouched).
+    /// row, falling back to the oldest request overall. The remaining
+    /// requests keep their relative order (the FCFS tiebreak).
     fn take_request(&mut self, bank_idx: usize) -> Option<PendingRequest> {
         let queue = &mut self.queues[bank_idx];
-        if queue.is_empty() {
-            return None;
-        }
         if self.config.page_policy == PagePolicy::OpenPage {
             if let Some(open) = self.banks[bank_idx].open_row() {
-                let mut prev = NIL;
-                let mut hit = NIL;
-                for (handle, pending) in self.requests.iter(queue) {
-                    if pending.row == open {
-                        hit = handle;
-                        break;
-                    }
-                    prev = handle;
-                }
-                if hit != NIL {
-                    return Some(self.requests.remove(queue, prev, hit));
+                if let Some(hit) = queue.iter().position(|pending| pending.row == open) {
+                    return queue.remove(hit);
                 }
             }
         }
-        self.requests.pop_front(queue)
+        queue.pop_front()
     }
 
     fn execute_maintenance(&mut self, bank_idx: usize, op: &MaintenanceOp, now: Nanos) {
@@ -633,7 +523,7 @@ impl MemoryController {
 
     fn execute_demand(&mut self, bank_idx: usize, pending: PendingRequest, now: Nanos) {
         let timing = self.config.timing;
-        let channel = self.banks_per_channel.div(bank_idx as u64) as usize;
+        let channel = self.mapper.channel_of(BankId::new(bank_idx));
         let bank_ready = self.banks[bank_idx].busy_until().max(now).max(pending.request.arrival_ns);
 
         let (row_hit, service_latency) =
@@ -692,29 +582,13 @@ impl MemoryController {
         // queue sorted; the ordered insert below is a safety net should a
         // future scheduling change break that property.
         let queue = &mut self.completions[bank_idx];
-        // A completion alarm is keyed by the front finish time, so one is
-        // armed exactly when this insert creates a new front.
-        let becomes_front =
-            self.done_arena.front(queue).is_none_or(|front| done.finish_ns < front.finish_ns);
-        let finish_ns = done.finish_ns;
-        match self.done_arena.back(queue) {
-            Some(last) if last.finish_ns > done.finish_ns => {
-                let mut prev = NIL;
-                for (handle, queued) in self.done_arena.iter(queue) {
-                    if queued.finish_ns > done.finish_ns {
-                        break;
-                    }
-                    prev = handle;
-                }
-                self.done_arena.insert_after(queue, prev, done);
-            }
-            _ => {
-                self.done_arena.push_back(queue, done);
-            }
+        if queue.back().is_some_and(|last| last.finish_ns > done.finish_ns) {
+            let at = queue.partition_point(|queued| queued.finish_ns <= done.finish_ns);
+            queue.insert(at, done);
+        } else {
+            queue.push_back(done);
         }
-        if becomes_front {
-            self.done_wakes.push(Reverse((finish_ns, bank_idx as u32)));
-        }
+        self.done_banks.insert(bank_idx);
         self.pending_completion_count += 1;
     }
 }
@@ -722,6 +596,8 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::PhysAddr;
+    use crate::command::MaintenanceKind;
     use crate::sink::EventCollector;
 
     fn small_config() -> DramConfig {
@@ -1056,6 +932,37 @@ mod tests {
         // conflicting rows keep their FCFS order.
         assert_eq!(&rows[1..], &[7, 7, 1, 2]);
         assert_eq!(mc.stats().row_hits, 2);
+    }
+
+    #[test]
+    fn ticks_visit_banks_in_ascending_order_across_bitmask_words() {
+        // 2 channels × 64 banks: 128 banks, two words per bank bitmask.
+        let config = DramConfig { banks_per_rank: 64, ..DramConfig::default() };
+        let mut mc = MemoryController::new(config);
+        let banks: Vec<usize> = (0..128).rev().step_by(5).collect();
+        let mut ids: Vec<RequestId> = banks
+            .iter()
+            .map(|&bank| {
+                let addr = addr_for(&mc, bank, 3);
+                mc.enqueue(MemRequest::new(addr, AccessKind::Read, 0, 0)).unwrap()
+            })
+            .collect();
+        let mut events = EventCollector::new();
+        mc.tick_into(0, &mut events);
+        let activated: Vec<usize> = events.activations.iter().map(|a| a.bank.index()).collect();
+        let mut ascending = banks.clone();
+        ascending.sort_unstable();
+        assert_eq!(activated, ascending, "one tick schedules every bank, lowest first");
+        assert!(events.completions.is_empty());
+        let next = mc.next_event_ns(0);
+        mc.drain_into(0, 5, &mut events);
+        let earliest = events.completions.iter().map(|c| c.finish_ns).min().unwrap();
+        assert_eq!(next, earliest, "the next event is the earliest completion");
+        let mut completed: Vec<RequestId> =
+            events.completions.iter().map(|c| c.request_id).collect();
+        completed.sort_unstable();
+        ids.sort_unstable();
+        assert_eq!(completed, ids, "every request completes exactly once");
     }
 
     #[test]

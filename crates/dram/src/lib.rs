@@ -46,7 +46,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod address;
-pub(crate) mod arena;
 pub mod bank;
 pub mod command;
 pub mod config;

@@ -88,7 +88,13 @@ impl SecurityTracker {
             return;
         }
         let bank = event.bank.index();
-        let row = event.row % self.rows_per_bank.max(1);
+        // Decoded rows are already in range; only a foreign row pays the
+        // division.
+        let row = if event.row < self.rows_per_bank {
+            event.row
+        } else {
+            event.row % self.rows_per_bank.max(1)
+        };
         let lo = row.checked_sub(1);
         let hi = (row + 1 < self.rows_per_bank).then_some(row + 1);
         for neighbor in lo.into_iter().chain(hi) {

@@ -22,16 +22,20 @@
 //! Execution is one pass over the trunk. The trunk runs to completion
 //! with every branch's (tracker, defense) attached as a
 //! [`crate::system::MitigationProbe`], fed the same demand activations,
-//! window rollovers and ticks its from-scratch run would see. A probe
-//! *fires* in the first tick where one of its decisions feeds back into
-//! the simulation; it keeps deciding to the end of that tick, then leaves
-//! the trunk as a fork: a copy of the trunk's state after the tick's
-//! controller drain, with the branch's tracker and defense installed,
-//! which applies the branch's own feedback of that tick and runs on from
-//! there. The trunk itself is the group's undefended baseline, so the
-//! same pass produces the normalization baseline every cell needs.
-//! Branches whose probe never fired are the trunk result relabelled:
-//! their whole run provably never differed from the trunk.
+//! window rollovers and ticks its from-scratch run would see. Branches
+//! whose configurations build identical trackers (same kind, swap
+//! threshold and geometry) share one probe and so one tracker: it sees
+//! each demand activation once, and each branch acts on its decisions
+//! with its own defense. A branch *fires* in the first tick where one of
+//! its decisions feeds back into the simulation; it keeps deciding to the
+//! end of that tick, then leaves the trunk as a fork: a copy of the
+//! trunk's state after the tick's controller drain, with a copy of its
+//! probe's tracker and its own defense installed, which applies the
+//! branch's own feedback of that tick and runs on from there. The trunk
+//! itself is the group's undefended baseline, so the same pass produces
+//! the normalization baseline every cell needs. Branches that never fired
+//! are the trunk result relabelled: their whole run provably never
+//! differed from the trunk.
 //!
 //! The protocol is gated end-to-end by equivalence tests
 //! (`tests/fork_equivalence.rs`): a shared grid must be bit-identical —
@@ -130,11 +134,14 @@ pub(crate) fn run_shared_group(cells: &[SharedCell]) -> Vec<(usize, ScenarioResu
 /// pass of a shared trunk, returning the results in branch order. The
 /// configurations must differ only in their mitigation axes.
 fn run_branches(trace: Trace, branch_configs: &[SystemConfig]) -> Vec<SimResult> {
-    let probes = branch_configs
-        .iter()
-        .enumerate()
-        .filter_map(|(b, config)| MitigationProbe::new(b, config))
-        .collect();
+    // One probe per distinct tracker configuration: branches that build
+    // identical trackers read one tracker until each forks.
+    let mut probes = Vec::new();
+    for (b, config) in branch_configs.iter().enumerate() {
+        if let Some(probe) = MitigationProbe::new(b, config) {
+            probe.merge_into(&mut probes);
+        }
+    }
     let mut trunk = System::trunk(branch_configs[0].clone(), trace, probes);
     // Each branch forks off at the end of its divergence tick and runs on
     // from there. The trunk result doubles as the group's undefended
@@ -211,17 +218,23 @@ mod tests {
     /// Every branch here makes feedback decisions in two banks inside the
     /// tick its probe fires — two rows crossing the swap threshold at once,
     /// or two Hydra counter-table misses — so a fork that acted only on the
-    /// decision that fired its probe would lose the other. Each branch of
-    /// the shared pass must match its from-scratch run.
+    /// decision that fired its probe would lose the other. RRS and SRS
+    /// share a swap rate, so each tracker kind's RRS and SRS branches read
+    /// one shared tracker and fire in the same tick: a shared tracker must
+    /// see each activation once, and each member must act with its own
+    /// defense. Each branch of the shared pass must match its from-scratch
+    /// run.
     #[test]
     fn branches_act_on_every_decision_of_their_divergence_tick() {
         let hammer = TraceRecord { nonmem_insts: 0, op: MemOp::Read, addr: 0x10000 };
         let trace = Trace::new("hammer", vec![hammer; 10_000]);
         let configs: Vec<SystemConfig> = [
             (DefenseKind::Rrs { immediate_unswap: true }, TrackerKind::MisraGries),
+            (DefenseKind::Srs, TrackerKind::MisraGries),
             (DefenseKind::ScaleSrs, TrackerKind::MisraGries),
             (DefenseKind::Baseline, TrackerKind::Hydra),
             (DefenseKind::Rrs { immediate_unswap: true }, TrackerKind::Hydra),
+            (DefenseKind::Srs, TrackerKind::Hydra),
         ]
         .into_iter()
         .map(|(defense, tracker)| lockstep_config(defense, tracker))

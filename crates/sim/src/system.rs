@@ -57,56 +57,107 @@ struct TickWork {
     actions: Vec<MitigationAction>,
 }
 
-/// A branch cell's (tracker, defense) pair riding along a shared trunk
-/// simulation.
+/// The branch cells of a shared trunk that build identical trackers,
+/// riding along the trunk simulation on one tracker between them.
 ///
 /// The sharing-aware grid executor runs the common prefix of several grid
 /// cells once, on a trunk system whose own mitigation is inert; each
 /// branch cell's tracker and defense are attached as a probe that is fed
 /// the very same demand activations, window rollovers and tick times the
-/// cell's from-scratch run would feed them, through the same decision
-/// function as the system's own tracker. The probe *fires* in the first
-/// tick where one of its decisions feeds back into the simulation — a
-/// mitigation trigger of an acting defense, or tracker-generated DRAM
-/// traffic (Hydra's counter-table fills). Up to that decision the trunk's
-/// trajectory and the cell's are bit-identical and the probe queues
-/// nothing; from it to the end of the tick the probe queues its branch's
-/// feedback, and at the end of the tick it leaves the trunk as a fork
-/// that applies that feedback itself (see [`System::engine_step`]).
+/// cell's from-scratch run would feed them. Branches whose configurations
+/// agree on everything [`build_tracker`] reads ([`TrackerKey`]) see the
+/// same activation stream through the same tracker, so they share it: the
+/// probe feeds each demand activation to its tracker once, and every
+/// member acts on the decision with its own defense, exactly as its cell
+/// would. A member *fires* in the first tick where one of its decisions
+/// feeds back into the simulation — a mitigation trigger of an acting
+/// defense, or tracker-generated DRAM traffic (Hydra's counter-table
+/// fills). Up to that decision the trunk's trajectory and the cell's are
+/// bit-identical and the member queues nothing; from it to the end of the
+/// tick the member queues its branch's feedback, and at the end of the tick
+/// it leaves the trunk as a fork with a copy of the probe's tracker, which
+/// applies that feedback itself (see [`System::engine_step`]).
 pub(crate) struct MitigationProbe {
+    key: TrackerKey,
+    tracker: Box<dyn AggressorTracker + Send>,
+    members: Vec<ProbeMember>,
+}
+
+/// One branch of a [`MitigationProbe`].
+struct ProbeMember {
     /// The branch's index in the executor's branch set, handed back with
     /// its fork.
     branch: usize,
     /// The branch cell's configuration, installed on its fork.
     config: SystemConfig,
-    tracker: Box<dyn AggressorTracker + Send>,
     defense: Box<dyn RowSwapDefense + Send>,
     /// Whether a decision of the current tick fed back.
     fired: bool,
     /// The feedback the branch's decisions queued in the current tick
-    /// (empty until the probe fires).
+    /// (empty until the member fires).
     work: TickWork,
 }
 
 impl MitigationProbe {
-    /// A probe for branch `branch` under `config`, or `None` when the
+    /// A probe holding branch `branch` under `config`, or `None` when the
     /// branch has no feedback channel at all: a baseline cell with an
     /// SRAM-only tracker equals the trunk for the whole run, so it needs
     /// no probe (and no fork).
     pub(crate) fn new(branch: usize, config: &SystemConfig) -> Option<Self> {
-        let tracker = build_tracker(config);
+        let key = TrackerKey::of(config);
+        let tracker = build_tracker(key);
         if config.defense == DefenseKind::Baseline && !tracker.may_emit_memory_traffic() {
             return None;
         }
-        Some(Self {
+        let member = ProbeMember {
             branch,
-            defense: build_defense(config.defense, config.mitigation_config()),
             config: config.clone(),
-            tracker,
+            defense: build_defense(config.defense, config.mitigation_config()),
             fired: false,
             work: TickWork::default(),
-        })
+        };
+        Some(Self { key, tracker, members: vec![member] })
     }
+
+    /// Add this probe's members to the probe of `probes` with the same
+    /// tracker configuration, or append it as a probe of its own.
+    pub(crate) fn merge_into(self, probes: &mut Vec<MitigationProbe>) {
+        match probes.iter_mut().find(|probe| probe.key == self.key) {
+            Some(probe) => probe.members.extend(self.members),
+            None => probes.push(self),
+        }
+    }
+
+    /// Feed one demand activation to the shared tracker, and let every
+    /// member act on the decision with its own defense: queue the
+    /// counter-table traffic and the defense's trigger actions, as
+    /// [`TickObserver::decide`] does for the system's own tracker. A shared
+    /// trunk arms neither telemetry nor the timers, so nothing is recorded
+    /// there.
+    fn record_activation(&mut self, event: &ActivationEvent, timing: DramTiming, now: u64) {
+        let bank = event.bank.index();
+        let decision = self.tracker.record_activation(bank, event.logical_row);
+        if decision.extra_memory_accesses == 0 && !decision.mitigate {
+            return;
+        }
+        for member in &mut self.members {
+            if decision.extra_memory_accesses > 0 {
+                member.work.counter_ops.push(counter_op(event.bank, decision, timing));
+            }
+            if decision.mitigate {
+                let actions = member.defense.on_mitigation_trigger(bank, event.logical_row, now);
+                member.work.actions.extend(actions);
+            }
+            member.fired |= decision.extra_memory_accesses > 0
+                || (decision.mitigate && member.config.defense != DefenseKind::Baseline);
+        }
+    }
+}
+
+/// Hydra's memory-resident counter-table traffic for one decision.
+fn counter_op(bank: BankId, decision: TrackerDecision, timing: DramTiming) -> MaintenanceOp {
+    let duration_ns = decision.extra_memory_accesses * (timing.t_rc + timing.t_cas);
+    MaintenanceOp::new(bank, duration_ns, Vec::new(), MaintenanceKind::CounterAccess)
 }
 
 /// The full-system simulator for one workload under one configuration.
@@ -160,8 +211,9 @@ pub struct System {
     /// Whether the previous tick scheduled a demand request (the only way
     /// controller queue space appears); gates the deferred-retry pass.
     freed_queue_slot: bool,
-    /// Branch probes of the sharing-aware executor, each until the end of
-    /// the tick it fires in; empty on every normally-constructed system.
+    /// Branch probes of the sharing-aware executor, one per distinct
+    /// tracker configuration; each member stays until the end of the tick
+    /// it fires in. Empty on every normally-constructed system.
     probes: Vec<MitigationProbe>,
     /// Per-subsystem wall-time ledger; disarmed (and therefore never
     /// reading the clock) except under [`System::run_attributed`].
@@ -291,34 +343,20 @@ impl TickObserver<'_> {
         let count = self.bank_activations[event.bank.index()].entry(row).or_insert(0);
         *count = count.saturating_add(1);
         // Branch probes see the identical demand-activation stream a
-        // from-scratch run of their cell would feed its tracker. The first
-        // decision that feeds back marks the divergence tick; the probe
-        // keeps deciding to the end of that tick, as its cell would.
-        for index in 0..self.probes.len() {
-            let decision = self.decide(Some(index), event);
-            let probe = &mut self.probes[index];
-            probe.fired |= decision.extra_memory_accesses > 0
-                || (decision.mitigate && probe.config.defense != DefenseKind::Baseline);
+        // from-scratch run of their cells would feed their trackers. A
+        // member's first decision that feeds back marks its divergence
+        // tick; it keeps deciding to the end of that tick, as its cell
+        // would.
+        for probe in self.probes.iter_mut() {
+            probe.record_activation(event, self.timing, self.now);
         }
-        self.decide(None, event);
+        self.decide(event);
     }
 
-    /// Feed one demand activation to a tracker — the system's own
-    /// (`probe: None`) or branch probe `probe`'s — and queue the feedback
-    /// its decision produces for after the drain: Hydra's counter-table
-    /// traffic and the defense's trigger actions. This is the one decision
-    /// function every tracker goes through, so a probe handles its
-    /// divergence tick exactly as its cell's from-scratch run would. A
-    /// probe records into the trunk's telemetry and timers, which a shared
-    /// trunk never arms.
-    fn decide(&mut self, probe: Option<usize>, event: &ActivationEvent) -> TrackerDecision {
-        let (tracker, defense, work) = match probe {
-            None => (&mut *self.tracker, &mut *self.defense, &mut self.work),
-            Some(index) => {
-                let probe = &mut self.probes[index];
-                (&mut probe.tracker, &mut probe.defense, &mut probe.work)
-            }
-        };
+    /// Feed one demand activation to the system's own tracker and queue
+    /// the feedback its decision produces for after the drain: Hydra's
+    /// counter-table traffic and the defense's trigger actions.
+    fn decide(&mut self, event: &ActivationEvent) {
         let bank = event.bank.index();
         let logical_row = event.logical_row;
 
@@ -330,28 +368,21 @@ impl TickObserver<'_> {
         // stream stays bit-identical between engines, which visit the same
         // activation at the same tick).
         let saturation_before = if self.telemetry.armed() {
-            tracker.saturation_events() + defense.saturation_events()
+            self.tracker.saturation_events() + self.defense.saturation_events()
         } else {
             0
         };
 
-        let decision = tracker.record_activation(bank, logical_row);
+        let decision = self.tracker.record_activation(bank, logical_row);
         if decision.extra_memory_accesses > 0 {
-            // Hydra's memory-resident counter table traffic.
-            let duration_ns =
-                decision.extra_memory_accesses * (self.timing.t_rc + self.timing.t_cas);
-            work.counter_ops.push(MaintenanceOp::new(
-                event.bank,
-                duration_ns,
-                Vec::new(),
-                MaintenanceKind::CounterAccess,
-            ));
+            let op = counter_op(event.bank, decision, self.timing);
             self.telemetry.record_op(
                 self.now,
                 EventKind::CounterAccess,
                 u32::try_from(bank).unwrap_or(u32::MAX),
-                duration_ns,
+                op.duration_ns,
             );
+            self.work.counter_ops.push(op);
         }
         if decision.mitigate {
             self.telemetry.record_mitigation(
@@ -360,11 +391,13 @@ impl TickObserver<'_> {
                 logical_row,
             );
             let stamp = self.timers.stamp();
-            work.actions.extend(defense.on_mitigation_trigger(bank, logical_row, self.now));
+            let actions = self.defense.on_mitigation_trigger(bank, logical_row, self.now);
+            self.work.actions.extend(actions);
             SubsystemTimers::lap(stamp, &mut self.timers.defense_trigger_ns);
         }
         if self.telemetry.armed() {
-            let saturation_after = tracker.saturation_events() + defense.saturation_events();
+            let saturation_after =
+                self.tracker.saturation_events() + self.defense.saturation_events();
             if saturation_after > saturation_before {
                 self.telemetry.record_saturation(
                     self.now,
@@ -373,7 +406,6 @@ impl TickObserver<'_> {
                 );
             }
         }
-        decision
     }
 }
 
@@ -496,17 +528,41 @@ impl AggressorTracker for NullTracker {
     }
 }
 
-fn build_tracker(config: &SystemConfig) -> Box<dyn AggressorTracker + Send> {
-    let mitigation = config.mitigation_config();
-    let ts = mitigation.swap_threshold();
-    match config.tracker {
+/// Everything [`build_tracker`] reads from a configuration: configurations
+/// with equal keys build identical trackers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TrackerKey {
+    kind: TrackerKind,
+    /// `TS = TRH / swap rate`.
+    swap_threshold: u64,
+    act_max_per_window: u64,
+    banks: usize,
+    rows_per_bank: u64,
+}
+
+impl TrackerKey {
+    fn of(config: &SystemConfig) -> Self {
+        let mitigation = config.mitigation_config();
+        Self {
+            kind: config.tracker,
+            swap_threshold: mitigation.swap_threshold(),
+            act_max_per_window: mitigation.act_max_per_window,
+            banks: mitigation.banks,
+            rows_per_bank: mitigation.rows_per_bank,
+        }
+    }
+}
+
+fn build_tracker(key: TrackerKey) -> Box<dyn AggressorTracker + Send> {
+    let ts = key.swap_threshold;
+    match key.kind {
         TrackerKind::MisraGries => Box::new(MisraGriesTracker::new(
-            MisraGriesConfig::for_threshold(ts, mitigation.act_max_per_window, mitigation.banks),
+            MisraGriesConfig::for_threshold(ts, key.act_max_per_window, key.banks),
         )),
         TrackerKind::Hydra => Box::new(HydraTracker::new(HydraConfig::for_threshold(
             ts,
-            mitigation.banks,
-            mitigation.rows_per_bank,
+            key.banks,
+            key.rows_per_bank,
         ))),
     }
 }
@@ -541,7 +597,7 @@ impl System {
     #[must_use]
     pub fn new(config: SystemConfig, trace: Trace) -> Self {
         let controller = MemoryController::new(config.dram.clone());
-        let tracker = build_tracker(&config);
+        let tracker = build_tracker(TrackerKey::of(&config));
         let defense = build_defense(config.defense, config.mitigation_config());
         // All cores execute one immutable copy of the records; each core's
         // private address-space copy (so rate mode does not trivially share
@@ -785,15 +841,17 @@ impl System {
             self.tracker.reset_epoch();
             let actions = self.defense.on_new_window(boundary);
             self.apply_actions(actions);
-            // Branch probes see the same epoch boundaries their cell's
-            // from-scratch run would. A pre-divergence defense has nothing
+            // Branch probes see the same epoch boundaries their cells'
+            // from-scratch runs would. A pre-divergence defense has nothing
             // swapped, so its window work produces no actions — were it to
             // produce any, the trunk and the cell would already have
             // diverged, which the probe protocol rules out.
             for probe in &mut self.probes {
                 probe.tracker.reset_epoch();
-                let actions = probe.defense.on_new_window(boundary);
-                debug_assert!(actions.is_empty(), "pre-divergence window work acted");
+                for member in &mut probe.members {
+                    let actions = member.defense.on_new_window(boundary);
+                    debug_assert!(actions.is_empty(), "pre-divergence window work acted");
+                }
             }
             self.pinned_rows.clear();
             for shard in &mut self.bank_activations {
@@ -973,8 +1031,8 @@ impl System {
         // Probe defenses receive the identical tick cadence (SRS reschedules
         // its place-back deadline relative to the tick clock even while its
         // queue is empty); pre-divergence they never emit work.
-        for probe in &mut self.probes {
-            let actions = probe.defense.on_tick(now);
+        for member in self.probes.iter_mut().flat_map(|probe| &mut probe.members) {
+            let actions = member.defense.on_tick(now);
             debug_assert!(actions.is_empty(), "pre-divergence tick work acted");
         }
         self.telemetry_tick();
@@ -1173,33 +1231,38 @@ impl System {
     /// advance the clock — to the next grid-aligned event under the
     /// event-driven engine, or by one step under the fixed-step oracle.
     ///
-    /// On a shared trunk, every probe that fired during the tick leaves it
-    /// here, handed back with its branch index as a fork: a copy of the
-    /// trunk's post-drain state with the branch's configuration, tracker
-    /// and defense installed, which finishes the tick with the branch's own
-    /// feedback. That is the state the branch's from-scratch run reaches at
-    /// the same point, because nothing in a controller drain reads the
-    /// tracker or the defense (remapping happens at enqueue, and mitigation
-    /// feeds back only through the work queued for after the drain), and
-    /// because the trunk's own post-drain work is inert. A system without
-    /// probes returns no forks.
+    /// On a shared trunk, every probe member that fired during the tick
+    /// leaves it here, handed back with its branch index as a fork: a copy
+    /// of the trunk's post-drain state with the branch's configuration, a
+    /// copy of its probe's tracker and its own defense installed, which
+    /// finishes the tick with the branch's own feedback. That is the state
+    /// the branch's from-scratch run reaches at the same point, because
+    /// nothing in a controller drain reads the tracker or the defense
+    /// (remapping happens at enqueue, and mitigation feeds back only
+    /// through the work queued for after the drain), and because the
+    /// trunk's own post-drain work is inert. A system without probes
+    /// returns no forks.
     pub(crate) fn engine_step(&mut self, event_driven: bool) -> Vec<(usize, System)> {
         let demand_before = self.controller.stats().reads + self.controller.stats().writes;
         let now = self.now;
         let work = self.step_at(now, self.freed_queue_slot);
         let mut forks = Vec::new();
         // Checked every tick, so the common case is one scan of the flags.
-        if self.probes.iter().any(|probe| probe.fired) {
-            let fired: Vec<MitigationProbe> =
-                self.probes.extract_if(.., |probe| probe.fired).collect();
-            for probe in fired {
-                let mut fork = self.clone();
-                fork.config = probe.config;
-                fork.tracker = probe.tracker;
-                fork.defense = probe.defense;
-                fork.finish_tick(now, probe.work, demand_before, event_driven);
-                forks.push((probe.branch, fork));
+        if self.probes.iter().flat_map(|probe| &probe.members).any(|member| member.fired) {
+            let mut probes = std::mem::take(&mut self.probes);
+            for probe in &mut probes {
+                for member in probe.members.extract_if(.., |member| member.fired) {
+                    let mut fork = self.clone();
+                    fork.config = member.config;
+                    fork.tracker = probe.tracker.clone_box();
+                    fork.defense = member.defense;
+                    fork.finish_tick(now, member.work, demand_before, event_driven);
+                    forks.push((member.branch, fork));
+                }
             }
+            // Members that never fire (baseline defenses) keep their probe.
+            probes.retain(|probe| !probe.members.is_empty());
+            self.probes = probes;
         }
         self.finish_tick(now, work, demand_before, event_driven);
         forks

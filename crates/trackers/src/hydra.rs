@@ -9,6 +9,8 @@
 //! down sharply at low Row Hammer thresholds in Figure 16 of the Scale-SRS
 //! paper.
 
+use std::collections::VecDeque;
+
 use fxhash::FxHashMap;
 
 use crate::tracker::{AggressorTracker, TrackerDecision};
@@ -65,7 +67,7 @@ pub struct HydraTracker {
     /// The Row Count Cache: per-row counters resident on chip.
     rcc: FxHashMap<RowKey, u64>,
     /// FIFO order of RCC insertion, for eviction.
-    rcc_order: Vec<RowKey>,
+    rcc_order: VecDeque<RowKey>,
     /// The memory-resident Row Count Table.
     rct: FxHashMap<RowKey, u64>,
     /// Total DRAM accesses generated by RCC misses and writebacks.
@@ -73,6 +75,9 @@ pub struct HydraTracker {
     /// Monotonic count of RCC capacity evictions — Hydra's saturation
     /// signal. Unlike the counters above it survives epoch resets.
     rcc_evictions: u64,
+    /// `log2(rows_per_group)` when the group size is a power of two (every
+    /// shipped configuration), so a row's group is a shift.
+    group_shift: Option<u32>,
 }
 
 impl HydraTracker {
@@ -80,14 +85,16 @@ impl HydraTracker {
     #[must_use]
     pub fn new(config: HydraConfig) -> Self {
         let gct = vec![vec![0; config.groups_per_bank() as usize]; config.banks];
+        let rows_per_group = config.rows_per_group.max(1);
         Self {
             config,
             gct,
             rcc: FxHashMap::default(),
-            rcc_order: Vec::new(),
+            rcc_order: VecDeque::new(),
             rct: FxHashMap::default(),
             memory_accesses: 0,
             rcc_evictions: 0,
+            group_shift: rows_per_group.is_power_of_two().then(|| rows_per_group.trailing_zeros()),
         }
     }
 
@@ -104,7 +111,20 @@ impl HydraTracker {
     }
 
     fn group_of(&self, row: u64) -> usize {
-        (row / self.config.rows_per_group.max(1)) as usize
+        match self.group_shift {
+            Some(shift) => (row >> shift) as usize,
+            None => (row / self.config.rows_per_group.max(1)) as usize,
+        }
+    }
+
+    /// `bank` reduced into the tracked banks; in-range indices (the only
+    /// case on the hot path) skip the division.
+    fn bank_index(&self, bank: usize) -> usize {
+        if bank < self.config.banks {
+            bank
+        } else {
+            bank % self.config.banks
+        }
     }
 
     /// Fetch a row counter into the RCC, charging memory traffic on a miss.
@@ -116,10 +136,11 @@ impl HydraTracker {
         let mut accesses = 1; // read the RCT entry from DRAM
         if self.rcc.len() >= self.config.rcc_entries {
             // Evict the oldest entry, writing it back to the RCT.
-            let victim = self.rcc_order.remove(0);
-            if let Some(count) = self.rcc.remove(&victim) {
-                self.rct.insert(victim, count);
-                accesses += 1;
+            if let Some(victim) = self.rcc_order.pop_front() {
+                if let Some(count) = self.rcc.remove(&victim) {
+                    self.rct.insert(victim, count);
+                    accesses += 1;
+                }
             }
             self.rcc_evictions += 1;
         }
@@ -129,14 +150,14 @@ impl HydraTracker {
             self.gct[key.0][self.group_of(key.1)].min(self.config.group_threshold)
         });
         self.rcc.insert(key, seed);
-        self.rcc_order.push(key);
+        self.rcc_order.push_back(key);
         accesses
     }
 }
 
 impl AggressorTracker for HydraTracker {
     fn record_activation(&mut self, bank: usize, row: u64) -> TrackerDecision {
-        let bank = bank % self.config.banks;
+        let bank = self.bank_index(bank);
         let group = self.group_of(row);
         let gcount = &mut self.gct[bank][group];
         if *gcount < self.config.group_threshold {
@@ -163,7 +184,7 @@ impl AggressorTracker for HydraTracker {
     }
 
     fn estimated_count(&self, bank: usize, row: u64) -> u64 {
-        let bank = bank % self.config.banks;
+        let bank = self.bank_index(bank);
         let key = (bank, row);
         if let Some(c) = self.rcc.get(&key) {
             return *c;

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use scale_srs::core::rit::BankRit;
 use scale_srs::core::{MitigationConfig, RowSwapDefense, ScaleSrs, SecureRowSwap};
-use scale_srs::dram::{AddressMapper, DramConfig, PhysAddr};
+use scale_srs::dram::{AddressMapper, BankId, DramConfig, PhysAddr};
 use scale_srs::trackers::{AggressorTracker, MisraGriesConfig, MisraGriesTracker};
 use scale_srs::workloads::{MemOp, Trace, TraceRecord, WorkloadSpec};
 
@@ -19,6 +19,32 @@ proptest! {
         let decoded = mapper.decode(addr);
         let encoded = mapper.encode(&decoded).unwrap();
         prop_assert_eq!(mapper.decode(encoded), decoded);
+    }
+
+    /// On a geometry with no power of two in its channel, rank, bank, row
+    /// or line-per-row counts, decode/encode and `address_of` still
+    /// round-trip, so the mapper's division fallback stays exact.
+    #[test]
+    fn address_mapping_round_trips_on_a_non_power_of_two_geometry(
+        raw in 0u64..(1 << 35),
+        bank in 0usize..108,
+        row in 0u64..1000,
+    ) {
+        let config = DramConfig {
+            channels: 3,
+            ranks_per_channel: 3,
+            banks_per_rank: 12,
+            rows_per_bank: 1000,
+            row_size_bytes: 96 * 64,
+            ..DramConfig::default()
+        };
+        let mapper = AddressMapper::new(config.clone());
+        let addr = PhysAddr::new(raw).line_aligned(config.line_size_bytes);
+        let decoded = mapper.decode(addr);
+        let encoded = mapper.encode(&decoded).unwrap();
+        prop_assert_eq!(mapper.decode(encoded), decoded);
+        let at = mapper.address_of(BankId::new(bank), row).unwrap();
+        prop_assert_eq!(mapper.bank_and_row(at), (BankId::new(bank), row));
     }
 
     /// The RIT's forward and reverse maps stay mutually consistent under any
