@@ -43,17 +43,15 @@ use srs_sim::spec::{
     ExperimentSpec,
 };
 use srs_sim::telemetry::{TelemetryConfig, TelemetrySidecarSink};
-use srs_sim::{
-    run_workload, AttributionReport, FaultInjection, RetryPolicy, ScenarioResult, UnitStats,
-};
+use srs_sim::{run_workload, AttributionReport, FaultInjection, ScenarioResult, UnitStats};
 
 const USAGE: &str = "\
 srs-cli — spec-file driver for the scale-srs experiment engine
 
 USAGE:
     srs-cli run <spec.json | shard.json> [--out <file.jsonl>] [--resume]
-                [--force] [--threads <N>] [--retries <N>] [--quiet]
-                [--no-share] [--telemetry] [--attribution]
+                [--force] [--threads <N>] [--quiet] [--no-share]
+                [--telemetry] [--attribution]
     srs-cli trace <spec.json> [--cell <idx>] [--out <file.json>] [--force]
     srs-cli search <spec.json> [--out <file.jsonl>] [--resume] [--force]
                 [--generations <N>] [--population <N>] [--cell <idx>]
@@ -75,23 +73,24 @@ COMMANDS:
                 existing file is an error unless --force or --resume).
                 --resume continues an interrupted run: the manifest is
                 replayed, a torn final record is truncated, completed cells
-                are skipped and previously failed cells are retried.
+                are skipped and previously failed cells run again.
                 --threads <N> sets the worker-thread count; 0 (or omitting
                 the flag) means auto — the machine's available parallelism,
-                capped at 8. --retries <N> sets attempts per cell before it
-                is recorded as failed (default 3). --no-share disables
-                sharing-aware execution (results are bit-identical either
-                way). --telemetry arms the simulated-time recorder and
-                writes a per-cell sidecar stream to <out stem>.telemetry.jsonl;
-                the results JSONL stays byte-identical to a disarmed run
+                capped at 8. --no-share disables sharing-aware execution
+                (results are bit-identical either way). --telemetry arms
+                the simulated-time recorder and writes a per-cell sidecar
+                stream to <out stem>.telemetry.jsonl; the results JSONL
+                stays byte-identical to a disarmed run
                 (CI-enforced). --telemetry cannot be combined with --resume
                 (a usage error): the sidecar records of cells committed
                 before the interruption cannot be recovered. --attribution
                 (implies --no-share) re-runs with per-subsystem stopwatches
                 armed, prints the wall-time share table, and appends it as
                 a JSONL footer record {\"attribution\": ...} to the output
-                stream. Exit code 3 means the campaign completed degraded:
-                some cells failed and are listed in the manifest.
+                stream. Each execution unit runs once; a unit that panics
+                fails its cells and the rest of the grid runs on. Exit code
+                3 means the campaign completed degraded: some cells failed
+                and are listed in the manifest.
     trace       Run one grid cell (default --cell 0) of a spec with
                 telemetry armed and export the event trace as Chrome/
                 Perfetto trace-event JSON (load it at ui.perfetto.dev or
@@ -241,7 +240,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     let mut input_path: Option<&str> = None;
     let mut out_path: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut retries: Option<u32> = None;
     let mut quiet = false;
     let mut no_share = false;
     let mut resume = false;
@@ -265,16 +263,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
                         .map_err(|_| CliError::Usage(format!("bad thread count '{value}'")))?,
                 );
             }
-            "--retries" => {
-                let value =
-                    it.next().ok_or_else(|| CliError::Usage("--retries needs a count".into()))?;
-                let attempts = value
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("bad retry count '{value}'")))?;
-                retries = Some(attempts);
-            }
             "--quiet" => quiet = true,
             "--no-share" => no_share = true,
             "--resume" => resume = true,
@@ -286,6 +274,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         }
     }
     let input_path = input_path.ok_or_else(|| CliError::Usage("run needs a spec file".into()))?;
+    // A set but malformed fault variable would otherwise inject nothing.
+    let fault = match std::env::var_os(FaultInjection::VAR) {
+        None => None,
+        Some(value) => Some(value.to_str().and_then(FaultInjection::parse).ok_or_else(|| {
+            CliError::Usage(format!("{}={value:?} is not a grid cell index", FaultInjection::VAR))
+        })?),
+    };
     if telemetry && resume {
         // The sidecar is written beside the results as cells complete; a
         // resumed run would restart it without the cells already committed.
@@ -344,11 +339,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
                 state.truncated_bytes
             );
         }
-        for failure in &state.retried_failures {
-            eprintln!(
-                "retrying cell {} (failed after {} attempts: {})",
-                failure.index, failure.attempts, failure.error
-            );
+        for failure in &state.failed {
+            eprintln!("re-running cell {} (failed: {})", failure.index, failure.error);
         }
         let skipped = state.completed.len();
         (checkpoint, state.completed, skipped)
@@ -358,13 +350,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         (checkpoint, Vec::new(), 0)
     };
 
-    let mut campaign = Campaign::new(experiment)
-        .with_cells(cells)
-        .with_completed(completed)
-        .with_fault(FaultInjection::from_env());
-    if let Some(max_attempts) = retries {
-        campaign = campaign.with_retry(RetryPolicy { max_attempts, ..RetryPolicy::default() });
-    }
+    let mut campaign =
+        Campaign::new(experiment).with_cells(cells).with_completed(completed).with_fault(fault);
     let attribution_total = attribution
         .then(|| std::sync::Arc::new(std::sync::Mutex::new(AttributionReport::default())));
     if let Some(total) = &attribution_total {
@@ -441,12 +428,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
             report.failed.len()
         );
         for failure in &report.failed {
-            eprintln!(
-                "  cell {} after {} attempts: {}",
-                failure.index, failure.attempts, failure.error
-            );
+            eprintln!("  cell {}: {}", failure.index, failure.error);
         }
-        eprintln!("rerun with --resume to retry the failed cells");
+        eprintln!("rerun with --resume to run the failed cells again");
         Ok(ExitCode::from(EXIT_DEGRADED))
     }
 }
@@ -477,21 +461,16 @@ impl ResultSink for RunSinks {
         self.checkpoint.on_unit_stats(stats);
         if self.heartbeat {
             eprintln!(
-                "unit done: {} in {:.3}s ({} attempt{})",
+                "unit done: {} in {:.3}s",
                 describe_cells(&stats.cells),
-                stats.wall_ns as f64 / 1e9,
-                stats.attempts,
-                if stats.attempts == 1 { "" } else { "s" },
+                stats.wall_ns as f64 / 1e9
             );
         }
     }
 
     fn on_cell_failed(&mut self, failure: &CellFailure) {
         self.checkpoint.on_cell_failed(failure);
-        eprintln!(
-            "cell {} failed after {} attempts: {}",
-            failure.index, failure.attempts, failure.error
-        );
+        eprintln!("cell {} failed: {}", failure.index, failure.error);
     }
 
     fn on_finish(&mut self, report: &srs_sim::CampaignReport) {

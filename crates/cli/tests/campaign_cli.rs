@@ -172,34 +172,25 @@ fn plan_run_shards_merge_is_byte_identical_and_merge_rejects_overlap() {
 }
 
 #[test]
-fn persistent_cell_failure_degrades_with_exit_3_and_resume_repairs_it() {
+fn a_panicking_cell_degrades_with_exit_3_and_resume_repairs_it() {
     let (dir, spec) = scratch("fault");
     let reference = reference_run(&dir, &spec);
 
-    // A transient fault (one injected panic) is absorbed by the retry
-    // policy and leaves no trace in the output.
-    run_ok(
-        cli(&dir)
-            .args(["run", spec.to_str().unwrap(), "--out", "transient.jsonl", "--quiet"])
-            .env("SRS_CAMPAIGN_FAIL", "1:1"),
-    );
-    assert_eq!(std::fs::read(dir.join("transient.jsonl")).unwrap(), reference);
-
-    // A persistent fault exhausts the budget: distinct exit code, failure
-    // recorded in the manifest, surviving cells still on disk.
+    // The faulty cell's unit panics: distinct exit code, failure recorded
+    // in the manifest, surviving cells still on disk.
     let degraded = cli(&dir)
         .args(["run", spec.to_str().unwrap(), "--out", "out.jsonl", "--quiet"])
-        .env("SRS_CAMPAIGN_FAIL", "1:99")
+        .env("SRS_CAMPAIGN_FAIL", "1")
         .output()
         .unwrap();
     assert_eq!(degraded.status.code(), Some(3), "degraded campaigns exit 3");
     let stderr = String::from_utf8_lossy(&degraded.stderr);
     assert!(stderr.contains("campaign degraded"), "degraded diagnostic: {stderr}");
+    assert!(stderr.contains("cell 1 failed: injected campaign fault"), "{stderr}");
     let manifest = std::fs::read_to_string(dir.join("out.jsonl.manifest.json")).unwrap();
     assert!(manifest.contains("injected campaign fault"), "manifest records the error");
-    assert!(manifest.contains("\"attempts\": 3"), "manifest records spent attempts");
 
-    // Resume without the fault: failed cells are retried — they append
+    // Resume without the fault: failed cells run again — they append
     // behind later cells and the index-order repair restores the exact
     // uninterrupted bytes.
     run_ok(cli(&dir).args([
@@ -211,6 +202,26 @@ fn persistent_cell_failure_degrades_with_exit_3_and_resume_repairs_it() {
         "--quiet",
     ]));
     assert_eq!(std::fs::read(dir.join("out.jsonl")).unwrap(), reference);
+}
+
+#[test]
+fn a_malformed_fault_variable_is_a_usage_error_before_any_output() {
+    let (dir, spec) = scratch("fault-form");
+    for value in ["1:99", "garbage"] {
+        let run = cli(&dir)
+            .args(["run", spec.to_str().unwrap(), "--out", "out.jsonl", "--quiet"])
+            .env("SRS_CAMPAIGN_FAIL", value)
+            .output()
+            .unwrap();
+        assert_eq!(run.status.code(), Some(2), "SRS_CAMPAIGN_FAIL={value} is a usage error");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains("SRS_CAMPAIGN_FAIL"),
+            "the diagnostic names the variable: {stderr}"
+        );
+        assert!(!dir.join("out.jsonl").exists(), "SRS_CAMPAIGN_FAIL={value} wrote no results");
+        assert!(!dir.join("out.jsonl.manifest.json").exists(), "and no manifest");
+    }
 }
 
 #[test]

@@ -154,8 +154,10 @@ mod tests {
         assert_eq!(scale.pin_buffer_bits, 66 * 35);
     }
 
+    /// A loose sanity bound, not a match: the model's RIT dominates and
+    /// reads 2.51x the paper at TRH 4800.
     #[test]
-    fn rrs_total_within_2x_of_paper_points() {
+    fn rrs_total_within_0_3x_to_3x_of_paper_points() {
         for point in PAPER_STORAGE_POINTS {
             let cfg = MitigationConfig::paper_default(point.t_rh, 6);
             let model =
@@ -165,6 +167,23 @@ mod tests {
             assert!(
                 ratio > 0.3 && ratio < 3.0,
                 "TRH {}: model {model} vs paper {paper}",
+                point.t_rh
+            );
+        }
+    }
+
+    /// At Scale-SRS's default swap rate (3, as `table4_storage` prints),
+    /// the model reads 1.70x, 1.22x and 1.28x the paper's totals.
+    #[test]
+    fn scale_srs_total_within_2x_of_paper_points() {
+        for point in PAPER_STORAGE_POINTS {
+            let cfg = MitigationConfig::paper_default(point.t_rh, 3);
+            let model = storage_for(DefenseKind::ScaleSrs, &cfg).total_bits() / 8;
+            let paper = point.scale_srs_total_bytes;
+            let ratio = model as f64 / paper as f64;
+            assert!(
+                ratio > 0.5 && ratio < 2.0,
+                "TRH {}: model {model} vs paper {paper} ({ratio:.2}x)",
                 point.t_rh
             );
         }

@@ -14,10 +14,10 @@
 //!   [`CampaignManifest`] recording exactly which cells are durably on
 //!   disk; after a crash, [`CheckpointSink::resume`] truncates a torn
 //!   final record and the campaign re-runs only what is missing.
-//! * [`Campaign`] executes a (possibly restricted) cell set with per-unit
-//!   panic isolation and bounded retry ([`crate::runner::RetryPolicy`]);
-//!   persistently failing cells become [`CellFailure`] records in the
-//!   manifest instead of aborting the run.
+//! * [`Campaign`] executes a (possibly restricted) cell set, running each
+//!   unit once under panic isolation; the cells of a unit that panics
+//!   become [`CellFailure`] records in the manifest instead of aborting
+//!   the run, and `--resume` runs them again.
 //! * [`merge_results`] validates shard outputs (schema, no gaps, no
 //!   duplicates) and merges them back into one submission-ordered result
 //!   set, byte-identical to an uninterrupted unsharded run.
@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use crate::config::SystemConfig;
 use crate::journal::{load_manifest, manifest_path, save_manifest, write_atomic, Journal};
 use crate::json::{obj, Json, ToJson};
-use crate::runner::{FaultInjection, RetryPolicy};
+use crate::runner::FaultInjection;
 use crate::scenario::{Experiment, ScenarioResult, UnitStats};
 use crate::sink::{validate_result_record, ResultSink};
 use crate::spec::{ExperimentSpec, SpecError};
@@ -40,40 +40,34 @@ pub use crate::journal::read_results;
 /// the alias goes with the next revision of the benchmark.
 pub use crate::sink::ResultSink as CampaignSink;
 
-/// A cell that exhausted its retry budget. Recorded in the
-/// [`CampaignManifest`] so a later `--resume` retries exactly these cells.
+/// A cell whose execution unit panicked. Recorded in the
+/// [`CampaignManifest`] so a later `--resume` runs exactly these cells
+/// again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// Grid index of the failed cell.
     pub index: usize,
-    /// Attempts made before giving up (≥ 1).
-    pub attempts: u32,
-    /// The panic message of the final attempt.
+    /// The panic message.
     pub error: String,
 }
 
 impl ToJson for CellFailure {
     fn to_json(&self) -> Json {
-        obj(vec![
-            ("index", self.index.into()),
-            ("attempts", u64::from(self.attempts).into()),
-            ("error", self.error.as_str().into()),
-        ])
+        obj(vec![("index", self.index.into()), ("error", self.error.as_str().into())])
     }
 }
 
 impl CellFailure {
+    /// Decode the [`ToJson`] form. Other keys are ignored, such as the
+    /// `attempts` count older manifests carry, so those manifests still
+    /// resume.
     fn from_json(json: &Json) -> Result<Self, String> {
         let index =
             json.get("index").and_then(Json::as_u64).ok_or("failure.index must be an integer")?
                 as usize;
-        let attempts = json
-            .get("attempts")
-            .and_then(Json::as_u64)
-            .ok_or("failure.attempts must be an integer")? as u32;
         let error =
             json.get("error").and_then(Json::as_str).ok_or("failure.error must be a string")?;
-        Ok(Self { index, attempts, error: error.to_string() })
+        Ok(Self { index, error: error.to_string() })
     }
 }
 
@@ -89,7 +83,7 @@ pub struct CampaignReport {
     pub skipped: usize,
     /// Cells that finished and streamed a result this run.
     pub completed: usize,
-    /// Cells that exhausted their retry budget this run.
+    /// Cells whose unit panicked this run.
     pub failed: Vec<CellFailure>,
 }
 
@@ -148,24 +142,15 @@ pub struct Campaign {
     experiment: Experiment,
     cells: Option<Vec<usize>>,
     completed: Vec<usize>,
-    retry: RetryPolicy,
     fault: Option<FaultInjection>,
     attribution: Option<std::sync::Arc<std::sync::Mutex<crate::attribution::AttributionReport>>>,
 }
 
 impl Campaign {
-    /// A campaign over `experiment`'s whole grid with the default retry
-    /// policy and no skip-list.
+    /// A campaign over `experiment`'s whole grid with no skip-list.
     #[must_use]
     pub fn new(experiment: Experiment) -> Self {
-        Self {
-            experiment,
-            cells: None,
-            completed: Vec::new(),
-            retry: RetryPolicy::default(),
-            fault: None,
-            attribution: None,
-        }
+        Self { experiment, cells: None, completed: Vec::new(), fault: None, attribution: None }
     }
 
     /// Restrict the campaign to these grid cell indices (a shard).
@@ -183,14 +168,7 @@ impl Campaign {
         self
     }
 
-    /// Override the per-unit retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Inject a deterministic fault (crash/retry tests; see
+    /// Inject a deterministic fault (failure tests; see
     /// [`FaultInjection::from_env`]).
     #[must_use]
     pub fn with_fault(mut self, fault: Option<FaultInjection>) -> Self {
@@ -234,10 +212,10 @@ impl Campaign {
         planned
     }
 
-    /// Execute the planned cells under panic isolation, streaming each
-    /// outcome into `sink` in ascending cell-index order. A unit that
-    /// keeps panicking past the retry budget reports a [`CellFailure`] for
-    /// each of its cells and the campaign keeps going.
+    /// Execute the planned cells, each unit once under panic isolation,
+    /// streaming each outcome into `sink` in ascending cell-index order. A
+    /// unit that panics reports a [`CellFailure`] for each of its cells and
+    /// the campaign keeps going.
     pub fn run(&self, sink: &mut dyn ResultSink) -> CampaignReport {
         let planned = self.planned();
         let skipped = match &self.cells {
@@ -251,7 +229,6 @@ impl Campaign {
         };
         let opts = crate::scenario::ExecOptions {
             subset: Some(planned.clone()),
-            isolate: Some(self.retry.clone()),
             fault: self.fault.clone(),
             attribution: self.attribution.clone(),
         };
@@ -522,15 +499,15 @@ pub struct CampaignManifest {
     pub cells: Vec<usize>,
     /// Sorted cell indices whose records are durably in the output.
     pub completed: Vec<usize>,
-    /// Cells that exhausted their retry budget (retried on resume).
+    /// Cells whose unit panicked (run again on resume).
     pub failed: Vec<CellFailure>,
     /// Output-file length covering exactly the `completed` records; any
     /// bytes past this offset are a torn record from a crash and are
     /// truncated on resume.
     pub bytes_committed: u64,
-    /// Per-unit wall durations and attempt counts, appended as units
-    /// finish. Profiling data (machine-dependent, not part of results);
-    /// absent in manifests written before this field existed.
+    /// Per-unit wall durations, appended as units finish. Profiling data
+    /// (machine-dependent, not part of results) that no `srs-cli` verb
+    /// reads; absent in manifests written before this field existed.
     pub timings: Vec<UnitStats>,
 }
 
@@ -637,8 +614,10 @@ pub struct ResumeState {
     /// Cells the previous run(s) already committed; pass to
     /// [`Campaign::with_completed`].
     pub completed: Vec<usize>,
-    /// Failures recorded by the previous run, now cleared for retry.
-    pub retried_failures: Vec<CellFailure>,
+    /// Failures recorded by the previous run, cleared from the manifest;
+    /// their cells are not in `completed`, so the resumed run runs them
+    /// again.
+    pub failed: Vec<CellFailure>,
     /// Torn-record bytes truncated from the end of the output file
     /// (non-zero exactly when the previous run died mid-write).
     pub truncated_bytes: u64,
@@ -699,8 +678,8 @@ impl CheckpointSink {
     /// Resume a crashed or interrupted campaign at `out`: load the
     /// manifest, verify it belongs to the same campaign and cell set,
     /// truncate any torn final record past `bytes_committed` (refusing an
-    /// output shorter than that), clear recorded failures for retry, and
-    /// reopen the output for append.
+    /// output shorter than that), clear recorded failures so their cells
+    /// run again, and reopen the output for append.
     pub fn resume(
         out: &Path,
         campaign: &str,
@@ -742,7 +721,7 @@ impl CheckpointSink {
             Journal::resume(out, manifest.bytes_committed, CRASH_AFTER_VAR)?;
         let state = ResumeState {
             completed: manifest.completed.clone(),
-            retried_failures: std::mem::take(&mut manifest.failed),
+            failed: std::mem::take(&mut manifest.failed),
             truncated_bytes,
         };
         let prev_max = manifest.completed.last().copied();
@@ -983,8 +962,7 @@ mod tests {
         let path = dir.join("out.jsonl.manifest.json");
         let mut manifest = CampaignManifest::new("demo", 12, (0..12).collect());
         manifest.completed = vec![0, 1, 2, 5];
-        manifest.failed =
-            vec![CellFailure { index: 3, attempts: 3, error: "injected".to_string() }];
+        manifest.failed = vec![CellFailure { index: 3, error: "injected".to_string() }];
         manifest.bytes_committed = 1234;
         manifest.save(&path).unwrap();
         let loaded = CampaignManifest::load(&path).unwrap();
@@ -1040,12 +1018,12 @@ mod tests {
         let mut sink = CheckpointSink::create(&out, "demo", 3, cells.clone()).unwrap();
         sink.on_result(&result(0));
         sink.on_result(&result(2));
-        sink.on_cell_failed(&CellFailure { index: 1, attempts: 3, error: "injected".to_string() });
+        sink.on_cell_failed(&CellFailure { index: 1, error: "injected".to_string() });
         sink.finish().unwrap();
-        // Resume retries cell 1, which lands behind cell 2 in the file and
-        // triggers the index-order repair at finish.
+        // Resume runs cell 1 again, which lands behind cell 2 in the file
+        // and triggers the index-order repair at finish.
         let (mut sink, state) = CheckpointSink::resume(&out, "demo", 3, &cells).unwrap();
-        assert_eq!(state.retried_failures.len(), 1);
+        assert_eq!(state.failed.len(), 1);
         sink.on_result(&result(1));
         let manifest = sink.finish().unwrap();
         assert_eq!(manifest.completed, vec![0, 1, 2]);
@@ -1059,6 +1037,41 @@ mod tests {
             .map(Option::unwrap)
             .collect();
         assert_eq!(indices, vec![0, 1, 2], "file repaired to index order");
+    }
+
+    /// Manifests written when failed units were retried carry `attempts`
+    /// on each failure and each timing; they still resume, and what is
+    /// saved next records failures without it.
+    #[test]
+    fn a_manifest_with_attempt_counts_resumes_and_is_saved_without_them() {
+        let dir = ScratchDir::new("campaign", "attempts");
+        let out = dir.join("out.jsonl");
+        let line = result(0).to_json().to_compact();
+        std::fs::write(&out, format!("{line}\n")).unwrap();
+        let manifest = format!(
+            r#"{{"campaign": "demo", "total_cells": 2, "cells": [[0, 1]],
+                "completed": [[0, 0]],
+                "failed": [{{"index": 1, "attempts": 3, "error": "injected campaign fault"}}],
+                "bytes_committed": {},
+                "timings": [{{"cells": [0], "wall_ns": 1000, "attempts": 1}},
+                            {{"cells": [1], "wall_ns": 2000, "attempts": 3}}]}}"#,
+            line.len() + 1
+        );
+        std::fs::write(CampaignManifest::path_for(&out), manifest).unwrap();
+
+        let (mut sink, state) = CheckpointSink::resume(&out, "demo", 2, &[0, 1]).unwrap();
+        assert_eq!(state.completed, vec![0]);
+        assert_eq!(
+            state.failed,
+            vec![CellFailure { index: 1, error: "injected campaign fault".to_string() }]
+        );
+        sink.on_cell_failed(&state.failed[0]);
+        let saved = load_manifest(&CampaignManifest::path_for(&out)).unwrap();
+        let failed = saved.get("failed").and_then(Json::as_array).unwrap();
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].get("index").and_then(Json::as_u64), Some(1));
+        assert!(failed[0].get("attempts").is_none(), "{}", saved.to_compact());
+        assert_eq!(sink.finish().unwrap().timings.len(), 2, "old timings are kept");
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub use json::{Json, JsonError, ToJson};
 pub use metrics::{mean_normalized, NormalizedResult, SimResult};
 pub use runner::{
     normalize_against, parallel_for_each_ordered, parallel_map_ordered, run_normalized,
-    run_workload, run_workload_attributed, suite_averages, FaultInjection, JobEvent, RetryPolicy,
-    SuiteRow,
+    run_workload, run_workload_attributed, suite_averages, FaultInjection, JobEvent, SuiteRow,
 };
 pub use scenario::{
     default_threads, results_for, results_where, Experiment, Scenario, ScenarioResult, UnitStats,

@@ -65,66 +65,35 @@ pub fn normalize_against(defended: SimResult, baseline_ipc: f64, t_rh: u64) -> N
     }
 }
 
-/// Bounded retry-with-backoff policy for panic-isolated campaign
-/// execution (see [`crate::campaign`]).
+/// Deterministic fault injection for campaign failure tests: the
+/// execution unit containing `cell` panics. Cells are deterministic, so a
+/// unit that panics once panics on every run; this stands in for such a
+/// unit.
 ///
-/// A grid cell (or shared-prefix group) that panics is retried up to
-/// [`RetryPolicy::max_attempts`] total attempts, sleeping
-/// `backoff_ms * 2^(attempt-1)` between attempts; a cell still failing
-/// after the last attempt is reported as a
-/// [`crate::campaign::CellFailure`] instead of aborting the campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per execution unit, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Base backoff in milliseconds; doubles after every failed attempt.
-    pub backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts with a 50 ms base backoff.
-    fn default() -> Self {
-        Self { max_attempts: 3, backoff_ms: 50 }
-    }
-}
-
-impl RetryPolicy {
-    /// How long to sleep after failed attempt number `attempt` (1-based).
-    #[must_use]
-    pub fn backoff_after(&self, attempt: u32) -> std::time::Duration {
-        let shift = attempt.saturating_sub(1).min(10);
-        std::time::Duration::from_millis(self.backoff_ms.saturating_mul(1u64 << shift))
-    }
-}
-
-/// Deterministic fault injection for campaign crash/retry tests: the
-/// execution unit containing `cell` panics on its first `failures`
-/// attempts and succeeds afterwards (so `failures >=` the retry budget
-/// makes the cell fail persistently).
-///
-/// `srs-cli run` arms this from the `SRS_CAMPAIGN_FAIL=<cell>:<failures>`
-/// environment variable; it exists so the kill/retry paths can be
-/// exercised end to end without racing a real signal.
+/// `srs-cli run` arms this from the `SRS_CAMPAIGN_FAIL=<cell>` environment
+/// variable; it exists so the failure and resume paths can be exercised
+/// end to end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultInjection {
     /// Grid index of the cell whose execution unit panics.
     pub cell: usize,
-    /// Number of leading attempts that panic.
-    pub failures: u32,
 }
 
 impl FaultInjection {
-    /// Parse the `<cell>:<failures>` form (e.g. `"3:2"`).
+    /// The environment variable [`FaultInjection::from_env`] reads.
+    pub const VAR: &'static str = "SRS_CAMPAIGN_FAIL";
+
+    /// Parse the `<cell>` form (e.g. `"3"`).
     #[must_use]
     pub fn parse(spec: &str) -> Option<Self> {
-        let (cell, failures) = spec.split_once(':')?;
-        Some(Self { cell: cell.trim().parse().ok()?, failures: failures.trim().parse().ok()? })
+        Some(Self { cell: spec.trim().parse().ok()? })
     }
 
-    /// Read the `SRS_CAMPAIGN_FAIL` environment variable.
+    /// Read the `SRS_CAMPAIGN_FAIL` environment variable; `None` when it is
+    /// unset or is not a cell index.
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        Self::parse(&std::env::var("SRS_CAMPAIGN_FAIL").ok()?)
+        Self::parse(&std::env::var(Self::VAR).ok()?)
     }
 }
 
@@ -139,39 +108,21 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `f` under [`std::panic::catch_unwind`] with the retry policy,
-/// optionally injecting a deterministic fault when this unit covers the
-/// injection's target cell. Returns `(value, attempts)` — how many
-/// attempts the unit consumed feeds the campaign manifest's timing
-/// records — or `(message, attempts)` of the last panic once the attempt
-/// budget is exhausted.
+/// Run `f` once under [`std::panic::catch_unwind`], first injecting a
+/// panic when this unit's `cells` cover the injection's target cell.
+/// Returns the caught panic's message on failure.
 pub(crate) fn run_isolated<T>(
-    policy: &RetryPolicy,
     fault: Option<(&FaultInjection, &[usize])>,
-    f: impl Fn() -> T,
-) -> Result<(T, u32), (String, u32)> {
-    let mut attempt = 1u32;
-    loop {
-        let inject = fault
-            .is_some_and(|(fault, cells)| cells.contains(&fault.cell) && attempt <= fault.failures);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if inject {
-                panic!("injected campaign fault (attempt {attempt})");
-            }
-            f()
-        }));
-        match outcome {
-            Ok(value) => return Ok((value, attempt)),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                if attempt >= policy.max_attempts.max(1) {
-                    return Err((message, attempt));
-                }
-                std::thread::sleep(policy.backoff_after(attempt));
-                attempt += 1;
-            }
+    f: impl FnOnce() -> T,
+) -> Result<T, String> {
+    let inject = fault.is_some_and(|(fault, cells)| cells.contains(&fault.cell));
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if inject {
+            panic!("injected campaign fault");
         }
-    }
+        f()
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// One lifecycle event of a job running under
@@ -492,31 +443,24 @@ mod tests {
 
     #[test]
     fn fault_injection_parses_the_env_form() {
-        assert_eq!(FaultInjection::parse("3:2"), Some(FaultInjection { cell: 3, failures: 2 }));
-        assert_eq!(FaultInjection::parse(" 7 : 1 "), Some(FaultInjection { cell: 7, failures: 1 }));
-        assert_eq!(FaultInjection::parse("3"), None);
-        assert_eq!(FaultInjection::parse("a:b"), None);
+        assert_eq!(FaultInjection::parse("3"), Some(FaultInjection { cell: 3 }));
+        assert_eq!(FaultInjection::parse(" 7 "), Some(FaultInjection { cell: 7 }));
+        assert_eq!(FaultInjection::parse("1:99"), None);
+        assert_eq!(FaultInjection::parse("garbage"), None);
+        assert_eq!(FaultInjection::parse(""), None);
     }
 
     #[test]
-    fn run_isolated_retries_injected_faults_and_reports_persistent_ones() {
-        let policy = RetryPolicy { max_attempts: 3, backoff_ms: 0 };
-        let fault = FaultInjection { cell: 5, failures: 2 };
+    fn run_isolated_returns_the_panic_message_and_injects_only_into_the_target_unit() {
+        assert_eq!(run_isolated(None, || 42u32), Ok(42));
+        let err = run_isolated(None, || -> u32 { panic!("cell exploded") }).unwrap_err();
+        assert_eq!(err, "cell exploded");
 
-        // Two injected failures, then success on the third attempt.
-        let ok = run_isolated(&policy, Some((&fault, &[4, 5])), || 42u32);
-        assert_eq!(ok, Ok((42, 3)));
-
+        let fault = FaultInjection { cell: 5 };
         // The unit does not cover the target cell: no injection at all.
-        let ok = run_isolated(&policy, Some((&fault, &[0, 1])), || 7u32);
-        assert_eq!(ok, Ok((7, 1)));
-
-        // Persistent failure: the attempt budget is exhausted and the last
-        // panic message comes back with the attempt count.
-        let fault = FaultInjection { cell: 5, failures: 99 };
-        let err = run_isolated(&policy, Some((&fault, &[5])), || 0u32).unwrap_err();
-        assert_eq!(err.1, 3);
-        assert!(err.0.contains("injected campaign fault"), "{}", err.0);
+        assert_eq!(run_isolated(Some((&fault, &[0, 1])), || 7u32), Ok(7));
+        let err = run_isolated(Some((&fault, &[4, 5])), || 7u32).unwrap_err();
+        assert!(err.contains("injected campaign fault"), "{err}");
     }
 
     #[test]

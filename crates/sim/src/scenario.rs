@@ -48,7 +48,8 @@ use crate::config::SystemConfig;
 use crate::json::{obj, Json, ToJson};
 use crate::metrics::{NormalizedResult, SimResult};
 use crate::runner::{
-    normalize_against, parallel_for_each_ordered, parallel_map_ordered, run_workload, JobEvent,
+    normalize_against, parallel_for_each_ordered, parallel_map_ordered, run_isolated, run_workload,
+    JobEvent,
 };
 use crate::spec::{ConfigPatch, Preset};
 
@@ -371,13 +372,20 @@ impl Experiment {
     /// the vector as its prefix completes); grids large enough that one
     /// end-of-run `Vec` is a problem should run as a campaign with a
     /// streaming [`crate::sink::ResultSink`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `cell <i> failed: <message>` at the first cell whose
+    /// simulation panicked; a campaign records such cells and goes on.
     #[must_use]
     pub fn run(&self) -> Vec<ScenarioResult> {
         let mut results = Vec::with_capacity(self.job_count());
-        self.run_streaming(&ExecOptions::default(), |event| {
-            if let ExecEvent::Finished(result) = event {
-                results.push(result);
+        self.run_streaming(&ExecOptions::default(), |event| match event {
+            ExecEvent::Finished(result) => results.push(result),
+            ExecEvent::Failed(failure) => {
+                panic!("cell {} failed: {}", failure.index, failure.error)
             }
+            ExecEvent::Started(_) | ExecEvent::UnitDone(_) => {}
         });
         results
     }
@@ -457,10 +465,11 @@ impl Experiment {
     /// notifications in completion-race order) and the number of cells
     /// executed is returned.
     ///
-    /// [`ExecOptions`] selects the execution policy: an optional cell
-    /// subset (campaign shards and resume skip-lists) and optional
-    /// panic isolation with bounded retry (campaign fault tolerance). The
-    /// default options run the whole grid and propagate panics.
+    /// [`ExecOptions`] selects an optional cell subset (campaign shards and
+    /// resume skip-lists). Every unit runs once under
+    /// [`std::panic::catch_unwind`]: a unit that panics reports
+    /// [`ExecEvent::Failed`] for each of its cells, and the rest of the grid
+    /// runs on.
     ///
     /// Two layers of work sharing keep a grid from re-simulating what it
     /// already knows:
@@ -508,9 +517,8 @@ impl Experiment {
         };
         let ran = order.len();
 
-        // Phase 1: deduplicate and run the solo cells' baselines. Under
-        // panic isolation a baseline panic is retried like any unit; if it
-        // stays down, every cell normalizing against it fails (it cannot be
+        // Phase 1: deduplicate and run the solo cells' baselines. A baseline
+        // that panics fails every cell normalizing against it (it cannot be
         // normalized), without aborting the rest of the grid.
         let solo: Vec<usize> = units.iter().filter(|u| u.len() == 1).map(|u| u[0]).collect();
         let mut baseline_jobs: Vec<(SystemConfig, NamedWorkload)> = Vec::new();
@@ -527,29 +535,23 @@ impl Experiment {
                 });
             baseline_of.insert(i, key);
         }
-        let isolate = opts.isolate.as_ref();
-        let baselines: Vec<Result<SimResult, (String, u32)>> =
-            parallel_map_ordered(baseline_jobs, self.threads, |(config, workload)| match isolate {
-                None => Ok(run_workload(&config, &workload)),
-                Some(policy) => {
-                    crate::runner::run_isolated(policy, None, || run_workload(&config, &workload))
-                        .map(|(result, _attempts)| result)
-                }
+        let baselines: Vec<Result<SimResult, String>> =
+            parallel_map_ordered(baseline_jobs, self.threads, |(config, workload)| {
+                run_isolated(None, || run_workload(&config, &workload))
             });
 
         // Phase 2: one job per solo cell and one per shared group, ordered
         // by first cell index; each yields its cells' outcomes.
-        // Jobs are cloned only when an isolated attempt is retried, so the
-        // variant size asymmetry costs nothing on the happy path; boxing
-        // would add a per-job allocation for no benefit.
+        // Each job is moved into its worker once, so the variant size
+        // asymmetry costs nothing; boxing would add a per-job allocation
+        // for no benefit.
         #[allow(clippy::large_enum_variant)]
-        #[derive(Clone)]
         enum Job {
             Solo {
                 index: usize,
                 config: SystemConfig,
                 /// `(baseline_ipc, reuse)` — or the baseline's failure.
-                baseline: Result<(f64, Option<SimResult>), (String, u32)>,
+                baseline: Result<(f64, Option<SimResult>), String>,
             },
             Group {
                 cells: Vec<crate::share::SharedCell>,
@@ -563,9 +565,7 @@ impl Experiment {
                         b.total_ipc(),
                         (scenarios[i].defense == DefenseKind::Baseline).then(|| b.clone()),
                     )),
-                    Err((message, attempts)) => {
-                        Err((format!("baseline simulation failed: {message}"), *attempts))
-                    }
+                    Err(message) => Err(format!("baseline simulation failed: {message}")),
                 };
                 jobs.push(Job::Solo { index: i, config: configs[i].clone(), baseline });
             } else {
@@ -587,79 +587,54 @@ impl Experiment {
         let scenarios = &scenarios;
         let attribution = opts.attribution.clone();
         let attribution = attribution.as_ref();
-        // Each finished unit reports its cell outcomes plus wall-clock
-        // accounting (wall time spent in the worker, attempts consumed).
-        let worker = |job: Job| -> (Vec<CellOutcome>, u64, u32) {
+        let run_solo = |index: usize, config: &SystemConfig, baseline_ipc: f64, reuse| {
+            let scenario = &scenarios[index];
+            let defended = match (reuse, attribution) {
+                (Some(baseline), _) => baseline,
+                (None, None) => run_workload(config, &scenario.workload),
+                (None, Some(total)) => {
+                    let (result, report) =
+                        crate::runner::run_workload_attributed(config, &scenario.workload);
+                    // Invariant: worker threads never panic while holding
+                    // this lock (merging is a pure add), so it cannot be
+                    // poisoned.
+                    #[allow(clippy::expect_used)]
+                    let mut merged = total.lock().expect("attribution lock");
+                    *merged = merged.merged(&report);
+                    result
+                }
+            };
+            let result = normalize_against(defended, baseline_ipc, config.t_rh);
+            vec![(index, ScenarioResult { scenario: scenario.clone(), result })]
+        };
+        // Each finished unit reports its cell outcomes plus the wall time
+        // spent in the worker.
+        let worker = |job: Job| -> (Vec<CellOutcome>, u64) {
             let started = std::time::Instant::now();
-            let wall =
-                |attempts: u32, outcomes: Vec<CellOutcome>| -> (Vec<CellOutcome>, u64, u32) {
-                    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (outcomes, wall_ns, attempts)
-                };
-            // A solo cell whose shared baseline already failed has nothing
-            // to normalize against; it fails without another attempt.
-            if let Job::Solo { index, baseline: Err((error, attempts)), .. } = &job {
-                let failure =
-                    CellFailure { index: *index, attempts: *attempts, error: error.clone() };
-                return wall(*attempts, vec![(*index, Err(failure))]);
-            }
             let indices: Vec<usize> = match &job {
                 Job::Solo { index, .. } => vec![*index],
-                Job::Group { cells, .. } => cells.iter().map(|c| c.index).collect(),
+                Job::Group { cells } => cells.iter().map(|c| c.index).collect(),
             };
-            let execute = |job: Job| -> Vec<(usize, ScenarioResult)> {
-                match job {
-                    Job::Solo { index, config, baseline } => {
-                        // Invariant: jobs are only enqueued after every
-                        // baseline either resolved or errored out above.
-                        #[allow(clippy::expect_used)]
-                        let (baseline_ipc, reuse) = baseline.expect("failed baselines early-out");
-                        let scenario = &scenarios[index];
-                        let defended = match (reuse, attribution) {
-                            (Some(baseline), _) => baseline,
-                            (None, None) => run_workload(&config, &scenario.workload),
-                            (None, Some(total)) => {
-                                let (result, report) = crate::runner::run_workload_attributed(
-                                    &config,
-                                    &scenario.workload,
-                                );
-                                // Invariant: worker threads never panic
-                                // while holding this lock (merging is a pure
-                                // add), so it cannot be poisoned.
-                                #[allow(clippy::expect_used)]
-                                let mut merged = total.lock().expect("attribution lock");
-                                *merged = merged.merged(&report);
-                                result
-                            }
-                        };
-                        let result = normalize_against(defended, baseline_ipc, config.t_rh);
-                        vec![(index, ScenarioResult { scenario: scenario.clone(), result })]
-                    }
-                    Job::Group { cells } => crate::share::run_shared_group(&cells),
+            let fault = opts.fault.as_ref().map(|f| (f, indices.as_slice()));
+            let outcome = match job {
+                // A solo cell whose shared baseline failed has nothing to
+                // normalize against.
+                Job::Solo { baseline: Err(error), .. } => Err(error),
+                Job::Solo { index, config, baseline: Ok((baseline_ipc, reuse)) } => {
+                    run_isolated(fault, || run_solo(index, &config, baseline_ipc, reuse))
+                }
+                Job::Group { cells } => {
+                    run_isolated(fault, || crate::share::run_shared_group(&cells))
                 }
             };
-            match isolate {
-                None => wall(1, execute(job).into_iter().map(|(i, r)| (i, Ok(r))).collect()),
-                Some(policy) => {
-                    let fault = opts.fault.as_ref().map(|f| (f, indices.as_slice()));
-                    match crate::runner::run_isolated(policy, fault, || execute(job.clone())) {
-                        Ok((results, attempts)) => {
-                            wall(attempts, results.into_iter().map(|(i, r)| (i, Ok(r))).collect())
-                        }
-                        Err((error, attempts)) => wall(
-                            attempts,
-                            indices
-                                .iter()
-                                .map(|&i| {
-                                    let failure =
-                                        CellFailure { index: i, attempts, error: error.clone() };
-                                    (i, Err(failure))
-                                })
-                                .collect(),
-                        ),
-                    }
-                }
-            }
+            let outcomes = match outcome {
+                Ok(results) => results.into_iter().map(|(i, r)| (i, Ok(r))).collect(),
+                Err(error) => indices
+                    .iter()
+                    .map(|&index| (index, Err(CellFailure { index, error: error.clone() })))
+                    .collect(),
+            };
+            (outcomes, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
         };
 
         // Jobs complete in submission order, but a group's cells are
@@ -676,7 +651,7 @@ impl Experiment {
                     handle(ExecEvent::Started(&scenarios[i]));
                 }
             }
-            JobEvent::Finished(job, (outputs, wall_ns, attempts)) => {
+            JobEvent::Finished(job, (outputs, wall_ns)) => {
                 for (index, outcome) in outputs {
                     let pos = pos_of[&index];
                     debug_assert!(slots[pos].is_none(), "cell {index} produced twice");
@@ -693,7 +668,7 @@ impl Experiment {
                 handle(ExecEvent::UnitDone(UnitStats {
                     cells: job_cells[job].clone(),
                     wall_ns,
-                    attempts,
+                    attempts: 1,
                 }));
             }
         });
@@ -702,23 +677,16 @@ impl Experiment {
     }
 }
 
-/// Execution policy for one grid run: an optional cell subset (campaign
-/// shards and resume skip-lists) and optional panic isolation with bounded
-/// retry (campaign fault tolerance). The default runs the full grid and
-/// lets a panicking cell propagate and abort the run — the historical
-/// [`Experiment::run`] behaviour.
+/// Execution options for one grid run: an optional cell subset (campaign
+/// shards and resume skip-lists), an optional injected fault and optional
+/// attribution. The default runs the full grid.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecOptions {
     /// Run only these grid cell indices (`None` runs every cell). Units
     /// stay atomic: a shared-prefix group restricted to a subset of its
     /// members still shares its trunk among them.
     pub(crate) subset: Option<Vec<usize>>,
-    /// Catch per-unit panics and retry under this policy; a unit that
-    /// keeps panicking reports [`ExecEvent::Failed`] for each of its cells
-    /// instead of aborting the run.
-    pub(crate) isolate: Option<crate::runner::RetryPolicy>,
-    /// Deterministic fault injection for crash/retry tests (only honoured
-    /// when `isolate` is set).
+    /// Deterministic fault injection for campaign failure tests.
     pub(crate) fault: Option<crate::runner::FaultInjection>,
     /// When set, every defended solo cell runs with the per-subsystem
     /// stopwatches armed ([`crate::System::run_attributed`]) and merges its
@@ -740,7 +708,7 @@ pub(crate) enum ExecEvent<'a> {
     Started(&'a Scenario),
     /// The cell finished; delivered owned, in submission order.
     Finished(ScenarioResult),
-    /// The cell exhausted its retry budget; delivered at the cell's slot in
+    /// The cell's unit panicked; delivered at the cell's slot in
     /// submission order, so downstream consumers observe a gap-free
     /// ascending stream of outcomes.
     Failed(CellFailure),
@@ -750,18 +718,18 @@ pub(crate) enum ExecEvent<'a> {
     UnitDone(UnitStats),
 }
 
-/// Wall-clock accounting for one executed unit: which cells it covered,
-/// how long the worker spent on it (including retry backoff), and how
-/// many isolated attempts it consumed. Recorded into the campaign
-/// manifest so long-running campaigns can be profiled and re-sharded
-/// from their own timing data.
+/// Wall-clock accounting for one executed unit: which cells it covered and
+/// how long the worker spent on it. Recorded into the campaign manifest's
+/// `timings` as profiling data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitStats {
     /// Sorted grid cell indices the unit covered.
     pub cells: Vec<usize>,
     /// Wall time the worker spent executing the unit.
     pub wall_ns: u64,
-    /// Attempts consumed (1 without isolation or on first-try success).
+    /// Always 1: every unit runs exactly once. Kept, and written to the
+    /// manifest's `timings`, because the benchmark's probe and harness
+    /// still read it.
     pub attempts: u32,
 }
 
@@ -998,6 +966,15 @@ mod tests {
         assert!(std::panic::catch_unwind(|| experiment.scenarios()).is_err());
         let experiment = Experiment::new().with_workloads(Vec::new());
         assert!(std::panic::catch_unwind(|| experiment.scenarios()).is_err());
+    }
+
+    /// A grid every cell of which panics (the controller refuses a zero
+    /// queue capacity) names the first failed cell, not a worker job.
+    #[test]
+    #[should_panic(expected = "cell 0 failed")]
+    fn a_panicking_cell_is_reported_by_cell_index() {
+        let patch = ConfigPatch { queue_capacity: Some(0), ..ConfigPatch::default() };
+        let _ = Experiment::new().with_patch(patch).run();
     }
 
     #[test]

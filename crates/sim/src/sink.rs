@@ -91,16 +91,16 @@ pub trait ResultSink {
     /// One cell finished; called in ascending cell-index order.
     fn on_result(&mut self, result: &ScenarioResult);
 
-    /// One cell exhausted its retry budget; called at the cell's slot in
+    /// One cell's execution unit panicked; called at the cell's slot in
     /// the same ascending order as `on_result`.
     fn on_cell_failed(&mut self, failure: &CellFailure) {
         let _ = failure;
     }
 
     /// One execution unit finished (successfully or not), reporting its
-    /// wall-clock duration and attempt count; called once per unit in unit
-    /// submission order. Wall times are machine-dependent — treat them as
-    /// profiling data, never as results.
+    /// wall-clock duration; called once per unit in unit submission order.
+    /// Wall times are machine-dependent — treat them as profiling data,
+    /// never as results.
     fn on_unit_stats(&mut self, stats: &UnitStats) {
         let _ = stats;
     }
